@@ -15,10 +15,17 @@
 //!   existing allocator heuristics),
 //! * kmalloc-style size classes ([`SIZE_CLASSES`], [`class_index_for`]),
 //! * [`CpuRegistry`] — stable per-thread "CPU slot" assignment standing in
-//!   for kernel per-CPU data.
+//!   for kernel per-CPU data,
+//! * [`CacheFrame`] — the slab-cache machinery both allocators share
+//!   (slots, node, fast path, pressure governor, OOM-ladder skeleton);
+//!   an allocator fills in the [`CachePolicy`] hooks and becomes an
+//!   [`ObjectAllocator`],
+//! * [`KmallocHeap`] — the kmalloc front end over any [`CacheFactory`].
 
 mod cpu;
 mod factory;
+pub mod frame;
+mod heap;
 mod size_class;
 mod sizing;
 pub mod slab_layout;
@@ -29,6 +36,8 @@ mod traits;
 
 pub use cpu::{CpuId, CpuRegistry};
 pub use factory::CacheFactory;
+pub use frame::{CacheFrame, CachePolicy, FrameSlab};
+pub use heap::KmallocHeap;
 pub use size_class::{class_index_for, SIZE_CLASSES};
 pub use sizing::SizingPolicy;
 pub use slab_layout::RawSlab;

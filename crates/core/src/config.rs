@@ -52,12 +52,6 @@ pub struct PrudenceConfig {
     /// also runs a caller-assisted reclaim pass, throttling producers to
     /// the reclaim rate.
     pub hard_watermark: usize,
-    /// Route the allocate/free hit paths through the per-CPU fast path
-    /// (`pbs-percpu`): zero atomics and zero locks per uncontended pair.
-    /// When disabled the cache is built without fast-path slots at all
-    /// (ablation; the runtime toggle is
-    /// `ObjectAllocator::fastpath_set_enabled`).
-    pub fastpath: bool,
 }
 
 impl PrudenceConfig {
@@ -79,7 +73,6 @@ impl PrudenceConfig {
             oom_retries: 4,
             soft_watermark: 4096,
             hard_watermark: 16384,
-            fastpath: true,
         }
     }
 
@@ -119,17 +112,12 @@ impl PrudenceConfig {
         self
     }
 
-    /// Sets the deferred-backlog pressure watermarks. `hard` is clamped to
-    /// at least `soft` so the pressure levels stay ordered.
+    /// Sets the deferred-backlog pressure watermarks. The cache clamps
+    /// them at construction (`1 <= soft <= hard`) so the pressure levels
+    /// stay ordered.
     pub fn with_watermarks(mut self, soft: usize, hard: usize) -> Self {
-        self.soft_watermark = soft.max(1);
-        self.hard_watermark = hard.max(self.soft_watermark);
-        self
-    }
-
-    /// Toggles the per-CPU fast path (ablation).
-    pub fn with_fastpath(mut self, on: bool) -> Self {
-        self.fastpath = on;
+        self.soft_watermark = soft;
+        self.hard_watermark = hard;
         self
     }
 }
@@ -148,16 +136,6 @@ mod tests {
         assert!(c.deferred_aware_selection);
         assert_eq!(c.slab_scan_window, 10);
         assert!(c.soft_watermark <= c.hard_watermark);
-        assert!(c.fastpath);
-    }
-
-    #[test]
-    fn watermarks_stay_ordered() {
-        let c = PrudenceConfig::new(2).with_watermarks(100, 10);
-        assert_eq!(c.soft_watermark, 100);
-        assert_eq!(c.hard_watermark, 100, "hard clamped up to soft");
-        let c = PrudenceConfig::new(2).with_watermarks(0, 0);
-        assert_eq!(c.soft_watermark, 1, "soft clamped to at least 1");
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub(crate) type LatentEntry = (ObjPtr, GpState, u64);
 /// Rate counters feed the pre-flush aggressiveness decision (§4.2: be
 /// aggressive when frees outpace allocations, lazy otherwise).
 #[derive(Debug, Default)]
-pub(crate) struct CpuState {
+pub struct CpuState {
     pub(crate) obj_cache: Vec<ObjPtr>,
     pub(crate) latent: VecDeque<LatentEntry>,
     pub(crate) allocs_since: u64,

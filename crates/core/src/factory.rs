@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use pbs_alloc_api::{CacheFactory, ObjectAllocator};
 use pbs_mem::PageAllocator;
-use pbs_rcu::reclaim::ReclamationDomain;
+use pbs_rcu::reclaim::{EpochDomain, ReclamationDomain};
 use pbs_rcu::Rcu;
 
 use crate::{PrudenceCache, PrudenceConfig};
@@ -16,7 +16,7 @@ use crate::{PrudenceCache, PrudenceConfig};
 ///
 /// ```
 /// use std::sync::Arc;
-/// use pbs_alloc_api::CacheFactory;
+/// use pbs_alloc_api::{CacheFactory, KmallocHeap};
 /// use pbs_mem::PageAllocator;
 /// use pbs_rcu::Rcu;
 /// use prudence::{PrudenceConfig, PrudenceFactory};
@@ -29,6 +29,13 @@ use crate::{PrudenceCache, PrudenceConfig};
 /// let cache = f.create_cache("dentry", 192);
 /// assert_eq!(cache.object_size(), 192);
 /// assert_eq!(f.label(), "prudence");
+///
+/// // The paper's kmalloc front end over Prudence size classes.
+/// let heap = KmallocHeap::new(&f);
+/// let obj = heap.kmalloc(100)?; // served by kmalloc-128
+/// unsafe { heap.kfree_deferred(obj, 100) }; // paper Listing 2
+/// heap.quiesce();
+/// # Ok::<(), pbs_alloc_api::AllocError>(())
 /// ```
 pub struct PrudenceFactory {
     config: PrudenceConfig,
@@ -94,22 +101,18 @@ impl PrudenceFactory {
 
 impl CacheFactory for PrudenceFactory {
     fn create_cache(&self, name: &str, object_size: usize) -> Arc<dyn ObjectAllocator> {
-        match &self.domain {
-            Some(domain) => Arc::new(PrudenceCache::with_domain(
-                name,
-                object_size,
-                self.config.clone(),
-                Arc::clone(&self.pages),
-                Arc::clone(domain),
-            )),
-            None => Arc::new(PrudenceCache::new(
-                name,
-                object_size,
-                self.config.clone(),
-                Arc::clone(&self.pages),
-                Arc::clone(&self.rcu),
-            )),
-        }
+        // Without a shared domain every cache attaches its own epoch
+        // backend.
+        let domain = self.domain.clone().unwrap_or_else(|| {
+            Arc::new(EpochDomain::new(Arc::clone(&self.rcu))) as Arc<dyn ReclamationDomain>
+        });
+        Arc::new(PrudenceCache::with_domain(
+            name,
+            object_size,
+            self.config.clone(),
+            Arc::clone(&self.pages),
+            domain,
+        ))
     }
 
     fn label(&self) -> &str {

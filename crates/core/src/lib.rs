@@ -44,13 +44,13 @@
 
 mod cache;
 mod config;
-mod factory;
 mod cpu_state;
-mod heap;
+mod factory;
 mod node;
 mod preflush;
 
 pub use cache::PrudenceCache;
 pub use config::PrudenceConfig;
+pub use cpu_state::CpuState;
 pub use factory::PrudenceFactory;
-pub use heap::PrudenceHeap;
+pub use node::PrudentSlab;

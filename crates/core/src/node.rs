@@ -2,31 +2,23 @@
 
 use std::collections::VecDeque;
 
-use pbs_alloc_api::{ListKind, ObjPtr, RawSlab, SlabLists};
+use pbs_alloc_api::{FrameSlab, ListKind, RawSlab};
 use pbs_rcu::GpState;
 
 /// A slab plus its latent slab: the deferred objects belonging to it
 /// (paper Figure 4, right side).
 ///
 /// Deferred objects are counted as *allocated* by the underlying
-/// [`RawSlab`] until their grace period completes and
-/// [`reclaim_completed`](PrudentSlab::reclaim_completed) returns them to
-/// the free list.
+/// [`RawSlab`] until their grace period completes and the slab merges
+/// them back into its free list.
 #[derive(Debug)]
-pub(crate) struct PrudentSlab {
+pub struct PrudentSlab {
     pub(crate) raw: RawSlab,
     /// Deferred objects (slab-local index, stamp), oldest first.
     pub(crate) deferred: VecDeque<(u16, GpState)>,
 }
 
 impl PrudentSlab {
-    pub(crate) fn new(raw: RawSlab) -> Self {
-        Self {
-            raw,
-            deferred: VecDeque::new(),
-        }
-    }
-
     /// Returns deferred objects whose grace period completed at `epoch` to
     /// the slab free list. Returns how many were reclaimed.
     pub(crate) fn reclaim_completed(&mut self, epoch: u64) -> usize {
@@ -72,19 +64,42 @@ impl PrudentSlab {
     }
 }
 
-/// Per-node slab table and full/partial/free lists, guarded by one lock.
+impl FrameSlab for PrudentSlab {
+    type NodeState = LatentLists;
+
+    fn from_raw(raw: RawSlab) -> Self {
+        Self {
+            raw,
+            deferred: VecDeque::new(),
+        }
+    }
+
+    fn raw(&self) -> &RawSlab {
+        &self.raw
+    }
+
+    fn raw_mut(&mut self) -> &mut RawSlab {
+        &mut self.raw
+    }
+
+    fn into_raw(self) -> RawSlab {
+        self.raw
+    }
+
+    fn list_kind(&self) -> ListKind {
+        self.classify()
+    }
+}
+
+/// Prudence's node-wide state beside the slab table, under the node lock.
 #[derive(Debug, Default)]
-pub(crate) struct Node {
-    pub(crate) slabs: Vec<Option<PrudentSlab>>,
-    pub(crate) free_slots: Vec<usize>,
-    pub(crate) lists: SlabLists,
-    pub(crate) next_color: usize,
+pub struct LatentLists {
     /// Slabs with pending latent-slab objects, in the order their oldest
     /// stamp was queued. Lets reclamation merge completed objects back
     /// ("objects in the latent slab are merged with the slab", §4.1)
     /// without scanning every slab. May contain stale entries; consumers
     /// re-validate.
-    pub(crate) pending: std::collections::VecDeque<usize>,
+    pub(crate) pending: VecDeque<usize>,
     /// Grace-period stamp taken when the free list was first observed over
     /// the shrink threshold, or `None` while it is within bounds. Shrink
     /// hysteresis: excess free slabs are only released once this stamp's
@@ -94,94 +109,43 @@ pub(crate) struct Node {
     pub(crate) shrink_excess_since: Option<GpState>,
 }
 
-impl Node {
-    pub(crate) fn slab_mut(&mut self, index: usize) -> &mut PrudentSlab {
-        self.slabs[index].as_mut().expect("live slab index")
-    }
+/// The node of a Prudence cache.
+pub(crate) type Node = pbs_alloc_api::frame::Node<PrudentSlab>;
 
-    pub(crate) fn slab(&self, index: usize) -> &PrudentSlab {
-        self.slabs[index].as_ref().expect("live slab index")
-    }
-
-    /// Re-lists a slab according to [`PrudentSlab::classify`]; returns
-    /// `true` if it moved.
-    pub(crate) fn relist(&mut self, index: usize) -> bool {
-        let kind = self.slab(index).classify();
-        if self.lists.kind_of(index) == Some(kind) {
-            false
-        } else {
-            self.lists.move_to(index, kind);
-            true
-        }
-    }
-
-    /// Inserts a new slab and returns its index.
-    pub(crate) fn insert_slab(&mut self, slab: PrudentSlab) -> usize {
-        let index = self.free_slots.pop().unwrap_or(self.slabs.len());
-        if index == self.slabs.len() {
-            self.slabs.push(Some(slab));
-        } else {
-            debug_assert!(self.slabs[index].is_none());
-            self.slabs[index] = Some(slab);
-        }
-        self.lists.insert(index, self.slab(index).classify());
-        index
-    }
-
-    /// Removes a slab from the table and lists, returning it.
-    pub(crate) fn remove_slab(&mut self, index: usize) -> PrudentSlab {
-        self.lists.remove(index);
-        let slab = self.slabs[index].take().expect("live slab index");
-        self.free_slots.push(index);
-        slab
-    }
-
-    /// Merges grace-period-complete latent-slab objects back into their
-    /// slabs' free lists, draining the pending queue front while stamps
-    /// are complete. Returns the number of objects reclaimed and relists
-    /// every touched slab.
-    pub(crate) fn reclaim_pending(&mut self, epoch: u64) -> usize {
-        let mut reclaimed = 0;
-        while let Some(&index) = self.pending.front() {
-            let Some(slab) = self.slabs.get_mut(index).and_then(|s| s.as_mut()) else {
-                self.pending.pop_front();
-                continue;
-            };
-            match slab.deferred.front() {
-                None => {
-                    self.pending.pop_front();
-                }
-                Some(&(_, gp)) if gp.is_completed_at(epoch) => {
-                    reclaimed += slab.reclaim_completed(epoch);
-                    self.pending.pop_front();
-                    if !self.slab(index).deferred.is_empty() {
-                        // Newer stamps remain; queue again behind peers.
-                        self.pending.push_back(index);
-                        self.relist(index);
-                    } else {
-                        self.relist(index);
-                    }
-                }
-                Some(_) => break, // front stamp still inside its grace period
+/// Merges grace-period-complete latent-slab objects back into their
+/// slabs' free lists, draining the pending queue front while stamps are
+/// complete. Returns the number of objects reclaimed and relists every
+/// touched slab.
+pub(crate) fn reclaim_pending(node: &mut Node, epoch: u64) -> usize {
+    let mut reclaimed = 0;
+    while let Some(&index) = node.ext.pending.front() {
+        let Some(slab) = node.slabs.get_mut(index).and_then(|s| s.as_mut()) else {
+            node.ext.pending.pop_front();
+            continue;
+        };
+        match slab.deferred.front() {
+            None => {
+                node.ext.pending.pop_front();
             }
+            Some(&(_, gp)) if gp.is_completed_at(epoch) => {
+                reclaimed += slab.reclaim_completed(epoch);
+                node.ext.pending.pop_front();
+                if !node.slab(index).deferred.is_empty() {
+                    // Newer stamps remain; queue again behind peers.
+                    node.ext.pending.push_back(index);
+                }
+                node.relist(index);
+            }
+            Some(_) => break, // front stamp still inside its grace period
         }
-        reclaimed
     }
-
-    /// Index of an object's slab; see
-    /// [`resolve_slab_index`](pbs_alloc_api::slab_layout::resolve_slab_index).
-    ///
-    /// # Safety
-    ///
-    /// As `resolve_slab_index`; additionally the node lock must be held.
-    pub(crate) unsafe fn resolve(&self, obj: ObjPtr, slab_bytes: usize) -> usize {
-        pbs_alloc_api::slab_layout::resolve_slab_index(obj, slab_bytes)
-    }
+    reclaimed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbs_alloc_api::FrameSlab;
     use pbs_alloc_api::SizingPolicy;
     use pbs_mem::PageAllocator;
     use pbs_rcu::Rcu;
@@ -190,7 +154,7 @@ mod tests {
         let block = pages
             .allocate_aligned(policy.slab_bytes, policy.slab_bytes)
             .unwrap();
-        PrudentSlab::new(RawSlab::new(block, policy, index, 0))
+        PrudentSlab::from_raw(RawSlab::new(block, policy, index, 0))
     }
 
     #[test]
@@ -212,7 +176,8 @@ mod tests {
 
         // Defer the rest: everything allocated is deferred → Free.
         for &o in &objs[1..] {
-            slab.deferred.push_back((slab.raw.index_of(o), rcu.gp_state()));
+            slab.deferred
+                .push_back((slab.raw.index_of(o), rcu.gp_state()));
         }
         assert_eq!(slab.classify(), ListKind::Free);
         assert!(!slab.releasable(), "pages must wait for the grace period");
@@ -243,39 +208,5 @@ mod tests {
         rcu.synchronize();
         assert_eq!(slab.reclaim_completed(rcu.current_epoch()), 1);
         pages.free_pages(slab.raw.into_block());
-    }
-
-    #[test]
-    fn node_insert_remove_reuses_slots() {
-        let policy = SizingPolicy::for_object_size(64);
-        let pages = PageAllocator::new();
-        let mut node = Node::default();
-        let a = node.insert_slab(mk_slab(&policy, &pages, 0));
-        let b = node.insert_slab(mk_slab(&policy, &pages, 1));
-        assert_eq!((a, b), (0, 1));
-        let slab = node.remove_slab(a);
-        pages.free_pages(slab.raw.into_block());
-        let c = node.insert_slab(mk_slab(&policy, &pages, 0));
-        assert_eq!(c, 0, "slot reused");
-        for idx in [b, c] {
-            let s = node.remove_slab(idx);
-            pages.free_pages(s.raw.into_block());
-        }
-    }
-
-    #[test]
-    fn relist_reports_movement() {
-        let policy = SizingPolicy::for_object_size(64);
-        let pages = PageAllocator::new();
-        let mut node = Node::default();
-        let i = node.insert_slab(mk_slab(&policy, &pages, 0));
-        assert!(!node.relist(i), "already on the right list");
-        let mut objs = Vec::new();
-        node.slab_mut(i).raw.take(1, &mut objs);
-        assert!(node.relist(i), "free → partial after take");
-        node.slab_mut(i).raw.give_back(objs[0]);
-        assert!(node.relist(i));
-        let s = node.remove_slab(i);
-        pages.free_pages(s.raw.into_block());
     }
 }

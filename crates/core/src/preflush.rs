@@ -11,11 +11,11 @@ use std::sync::Weak;
 
 use crossbeam::channel::Receiver;
 
-use crate::cache::Inner;
+use crate::cache::Core;
 
 /// Worker loop: drains CPU indices whose latent caches need pre-flushing.
 /// Exits when the cache is dropped (channel closed or upgrade fails).
-pub(crate) fn preflush_worker(cache: Weak<Inner>, rx: Receiver<usize>) {
+pub(crate) fn preflush_worker(cache: Weak<Core>, rx: Receiver<usize>) {
     while let Ok(cpu_idx) = rx.recv() {
         let Some(cache) = cache.upgrade() else {
             return;

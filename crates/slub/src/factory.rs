@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use pbs_alloc_api::{CacheFactory, ObjectAllocator};
 use pbs_mem::PageAllocator;
-use pbs_rcu::reclaim::ReclamationDomain;
+use pbs_rcu::reclaim::{EpochDomain, ReclamationDomain};
 use pbs_rcu::Rcu;
 
 use crate::{SlubCache, SlubTuning};
@@ -98,24 +98,19 @@ impl SlubFactory {
 
 impl CacheFactory for SlubFactory {
     fn create_cache(&self, name: &str, object_size: usize) -> Arc<dyn ObjectAllocator> {
-        match &self.domain {
-            Some(domain) => SlubCache::with_domain(
-                name,
-                object_size,
-                self.ncpus,
-                self.tuning.clone(),
-                Arc::clone(&self.pages),
-                Arc::clone(domain),
-            ),
-            None => SlubCache::with_tuning(
-                name,
-                object_size,
-                self.ncpus,
-                self.tuning.clone(),
-                Arc::clone(&self.pages),
-                Arc::clone(&self.rcu),
-            ),
-        }
+        // Without a shared domain every cache attaches its own epoch
+        // backend.
+        let domain = self.domain.clone().unwrap_or_else(|| {
+            Arc::new(EpochDomain::new(Arc::clone(&self.rcu))) as Arc<dyn ReclamationDomain>
+        });
+        SlubCache::with_domain(
+            name,
+            object_size,
+            self.ncpus,
+            self.tuning.clone(),
+            Arc::clone(&self.pages),
+            domain,
+        )
     }
 
     fn label(&self) -> &str {

@@ -34,8 +34,6 @@
 
 mod cache;
 mod factory;
-mod heap;
 
 pub use cache::{SlubCache, SlubTuning};
 pub use factory::SlubFactory;
-pub use heap::SlubHeap;
