@@ -127,7 +127,9 @@ pub struct StatShard {
     pub flushes: Counter,
     /// Latent-cache pre-flush operations performed off the hot path.
     pub preflushes: Counter,
-    /// Slab pre-movements between full/partial/free lists (Prudence, §4.2).
+    /// Slab pre-movements (Prudence, §4.2): a slab moved to the free list
+    /// because every allocated object in it is deferred. Full slabs with
+    /// some deferred objects stay full, so only free-list moves count.
     pub pre_movements: Counter,
     /// Times the node-list lock was contended (try_lock failed).
     /// Single-writer under the *node* lock — bumped (plain [`Counter::bump`])
@@ -446,7 +448,7 @@ pub struct CacheStatsSnapshot {
     pub grows: u64,
     /// Slab shrink operations.
     pub shrinks: u64,
-    /// Slab pre-movements.
+    /// Slab pre-movements to the free list.
     pub pre_movements: u64,
     /// Contended node-lock acquisitions.
     pub node_lock_contended: u64,

@@ -143,8 +143,9 @@ impl PrudenceCache {
 
     /// Slab selection for refill (Algorithm lines 17-21 plus the Figure 5
     /// fragmentation optimization). Scans at most `slab_scan_window` slabs
-    /// of the partial list; lazily reclaims completed deferred objects of
-    /// every slab it inspects.
+    /// of the partial list, all of which have free objects (see
+    /// [`PrudentSlab::classify`]); lazily reclaims completed deferred
+    /// objects of every slab it inspects.
     fn select_slab(
         &self,
         node: &mut Node,
@@ -167,10 +168,7 @@ impl PrudenceCache {
             let free = slab.raw.free_count();
             let allocated = slab.raw.allocated_count();
             let deferred = slab.deferred.len();
-            if free == 0 {
-                node.relist(index);
-                continue;
-            }
+            debug_assert!(free > 0, "partial slab {index} has no free objects");
             if !self.config.deferred_aware_selection {
                 // Baseline behaviour: first usable partial slab.
                 return Some(index);
@@ -393,8 +391,8 @@ impl Core {
         merged
     }
 
-    /// Moves deferred objects into their latent slabs, with slab
-    /// pre-movement (Algorithm lines 49-59). Entries' defer-time clocks
+    /// Moves deferred objects into their latent slabs, pre-moving slabs
+    /// to the free list (Algorithm lines 49-59). Entries' defer-time clocks
     /// are dropped here: latent-slab objects rejoin circulation through
     /// whole-slab reclamation, which has no single defer to attribute.
     fn defer_to_slabs(&self, objs: &[LatentEntry]) {

@@ -41,16 +41,17 @@ impl PrudentSlab {
         self.raw.allocated_count() > 0 && self.raw.allocated_count() == self.deferred.len()
     }
 
-    /// The list this slab should be on, *including* pre-movement driven by
-    /// deferred-object hints (Algorithm lines 54-57):
-    /// * a full slab with deferred objects is pre-moved to the partial
-    ///   list (objects are about to come back),
-    /// * a slab whose allocated objects are all deferred is pre-moved to
-    ///   the free list (the whole slab is about to be free).
+    /// The list this slab should be on. A slab whose allocated objects are
+    /// all deferred is pre-moved to the free list: the whole slab is about
+    /// to be free (Algorithm lines 56-57). A full slab with only some
+    /// objects deferred stays on the full list rather than being pre-moved
+    /// to the partial list (lines 54-55): partial slabs must have free
+    /// objects, or they crowd the refill scan window and force growth
+    /// (DESIGN.md §4c). `reclaim_pending` relists it once objects return.
     pub(crate) fn classify(&self) -> ListKind {
         if self.raw.is_free() || self.all_allocated_deferred() {
             ListKind::Free
-        } else if self.raw.is_full() && self.deferred.is_empty() {
+        } else if self.raw.is_full() {
             ListKind::Full
         } else {
             ListKind::Partial
@@ -162,31 +163,48 @@ mod tests {
         let policy = SizingPolicy::for_object_size(512);
         let pages = PageAllocator::new();
         let rcu = Rcu::new();
-        let mut slab = mk_slab(&policy, &pages, 0);
-        assert_eq!(slab.classify(), ListKind::Free);
+        let mut node = Node::default();
+        let i = node.insert_with(|index| mk_slab(&policy, &pages, index));
+        assert_eq!(node.lists.kind_of(i), Some(ListKind::Free));
 
         let mut objs = Vec::new();
-        slab.raw.take(policy.objects_per_slab, &mut objs);
-        assert_eq!(slab.classify(), ListKind::Full);
+        node.slab_mut(i).raw.take(policy.objects_per_slab, &mut objs);
+        assert!(node.relist(i));
+        assert_eq!(node.lists.kind_of(i), Some(ListKind::Full));
 
-        // Defer one object: the hint pre-moves the slab to Partial.
+        // Defer one object: with nothing to hand out the slab stays full;
+        // the pending queue, not the partial list, brings it back.
+        let slab = node.slab_mut(i);
         let idx = slab.raw.index_of(objs[0]);
         slab.deferred.push_back((idx, rcu.gp_state()));
-        assert_eq!(slab.classify(), ListKind::Partial);
+        node.ext.pending.push_back(i);
+        assert!(!node.relist(i));
+        assert_eq!(node.lists.kind_of(i), Some(ListKind::Full));
 
-        // Defer the rest: everything allocated is deferred → Free.
+        // Its grace period ends: the object merges back → Partial.
+        rcu.synchronize();
+        assert_eq!(reclaim_pending(&mut node, rcu.current_epoch()), 1);
+        assert_eq!(node.lists.kind_of(i), Some(ListKind::Partial));
+
+        // Refill it, then defer everything: all allocated objects are
+        // deferred → Free, though no object is free yet.
+        node.slab_mut(i).raw.take(1, &mut objs);
+        assert!(node.relist(i));
+        let slab = node.slab_mut(i);
         for &o in &objs[1..] {
             slab.deferred
                 .push_back((slab.raw.index_of(o), rcu.gp_state()));
         }
-        assert_eq!(slab.classify(), ListKind::Free);
-        assert!(!slab.releasable(), "pages must wait for the grace period");
+        node.ext.pending.push_back(i);
+        assert!(node.relist(i));
+        assert_eq!(node.lists.kind_of(i), Some(ListKind::Free));
+        assert!(!node.slab(i).releasable(), "pages must wait for the grace period");
 
         rcu.synchronize();
-        let n = slab.reclaim_completed(rcu.current_epoch());
+        let n = reclaim_pending(&mut node, rcu.current_epoch());
         assert_eq!(n, policy.objects_per_slab);
-        assert!(slab.releasable());
-        pages.free_pages(slab.raw.into_block());
+        assert!(node.slab(i).releasable());
+        pages.free_pages(node.remove(i).raw.into_block());
     }
 
     #[test]

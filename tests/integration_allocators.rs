@@ -135,6 +135,44 @@ fn oom_deferral_survives_where_memory_is_all_deferred() {
 }
 
 #[test]
+fn deferred_replacement_keeps_prudence_near_its_live_set() {
+    // The kv-update pattern: a fixed live set where every write allocates
+    // a replacement and defers a random old object. A reader pinned across
+    // each batch of writes makes the grace-period cadence deterministic;
+    // once a batch's grace period ends its objects are reusable, so
+    // refills must find them instead of growing. A full slab holding
+    // deferred objects must stay off the partial list, where it would
+    // crowd usable slabs out of the refill scan window.
+    const LIVE: usize = 16 * 1024;
+    const WRITES_PER_GRACE_PERIOD: usize = 512;
+    let (_pages, rcu, cache) = prudence_setup(1);
+    let reader = rcu.register();
+    let mut live: Vec<ObjPtr> = (0..LIVE).map(|_| cache.allocate().unwrap()).collect();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for _ in 0..400_000 / WRITES_PER_GRACE_PERIOD {
+        let guard = reader.read_lock();
+        for _ in 0..WRITES_PER_GRACE_PERIOD {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let victim = (x % LIVE as u64) as usize;
+            let new = cache.allocate().unwrap();
+            unsafe { cache.free_deferred(std::mem::replace(&mut live[victim], new)) };
+        }
+        drop(guard);
+        rcu.synchronize();
+    }
+    let base = LIVE.div_ceil(cache.policy().objects_per_slab);
+    let peak = cache.stats().slabs_peak;
+    assert!(peak <= 2 * base, "slabs peaked at {peak} for a live set of {base} slabs");
+    for o in live {
+        unsafe { cache.free(o) };
+    }
+    cache.quiesce();
+    assert_eq!(cache.stats().live_objects, 0);
+}
+
+#[test]
 fn alloc_error_when_truly_out_of_memory() {
     let pages = Arc::new(PageAllocator::builder().limit_bytes(64 << 10).build());
     let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
