@@ -2,8 +2,9 @@
 //!
 //! Prudence changes only how SLUB reclaims deferred objects (paper §4.3:
 //! it "reuses the existing allocator heuristics"), so everything the two
-//! caches share lives here once: the per-CPU slots and their locking, the
-//! node's slab table, the per-CPU fast path, the deferred-backlog pressure
+//! caches share lives here once: the per-CPU object cache (one
+//! `pbs-percpu` stack per CPU), the per-CPU policy slots and their
+//! locking, the node's slab table, the deferred-backlog pressure
 //! governor, the allocation retry loop with its OOM-ladder skeleton, and
 //! the [`ObjectAllocator`] glue. An allocator embeds a [`CacheFrame`] and
 //! implements [`CachePolicy`] — the hooks where the two designs differ —
@@ -27,18 +28,12 @@ use crate::{
     RawSlab, SizingPolicy, SlabLists,
 };
 
-/// Spin budget on a busy home slot before trying neighbours: slot
-/// critical sections are a few dozen instructions, so a handful of
-/// `spin_loop` hints usually outlasts the holder without burning a
-/// timeslice.
-const SLOT_SPIN: usize = 24;
-
 /// Rebuilds an object pointer from an address the cache handed out.
 ///
 /// # Safety
 ///
 /// `addr` must be the address of an object minted by this cache's
-/// `allocate` (fast-path slots and reclamation domains only ever hold
+/// `allocate` (per-CPU stacks and reclamation domains only ever hold
 /// such addresses).
 #[inline]
 pub unsafe fn obj_at(addr: usize) -> ObjPtr {
@@ -198,8 +193,8 @@ impl<S: FrameSlab> Node<S> {
 /// bump the `cpu_idx` stats shard and trace lane (single-writer under
 /// that lock). The others run with no frame lock held.
 pub trait CachePolicy: Send + Sync + Sized {
-    /// Per-CPU slot state: the object cache plus whatever the policy keeps
-    /// beside it.
+    /// Per-CPU policy state, guarded by the slot lock. It holds no free
+    /// objects: those live only on the frame's per-CPU stacks.
     type Slot: Default + Send;
     /// The slab type of the node's slab table.
     type Slab: FrameSlab;
@@ -207,18 +202,28 @@ pub trait CachePolicy: Send + Sync + Sized {
     /// The frame this policy runs on.
     fn frame(&self) -> &CacheFrame<Self::Slot, Self::Slab>;
 
-    /// Pops an object the slot already caches, counting the hit; `None`
-    /// sends the allocation to [`refill`](Self::refill).
-    fn take_cached(&self, cpu_idx: usize, slot: &mut Self::Slot) -> Option<ObjPtr>;
+    /// Serves an allocation this CPU's stack missed: appends between one
+    /// and `want` objects to `batch` (empty on entry), from the policy's
+    /// own slot state or the node (growing if needed), and counts the
+    /// refill. The frame hands out one and parks the rest on the stack.
+    /// Every failure is an `Err`, never a panic.
+    fn refill(
+        &self,
+        cpu_idx: usize,
+        slot: &mut Self::Slot,
+        want: usize,
+        batch: &mut Vec<ObjPtr>,
+    ) -> Result<(), AllocError>;
 
-    /// Refills the slot from the node (growing if needed) and returns one
-    /// object. Every failure is an `Err`, never a panic. The frame has
-    /// already counted the refill.
-    fn refill(&self, cpu_idx: usize, slot: &mut Self::Slot) -> Result<ObjPtr, AllocError>;
-
-    /// Caches an immediately freed object in the slot; the frame has
-    /// already counted the free.
-    fn cache_free(&self, cpu_idx: usize, slot: &mut Self::Slot, obj: ObjPtr);
+    /// How many objects a full stack (two object caches' worth, see
+    /// [`CacheFrame::new`]) keeps when it flushes; the rest go back to
+    /// their slabs. Called once per flush, so a policy may note the flush
+    /// in its slot state. The default keeps one object cache plus half of
+    /// the second: SLUB's flush-in-halves of the overflowing cache.
+    fn flush_keep(&self, _slot: &mut Self::Slot) -> usize {
+        let size = self.frame().sizing.object_cache_size;
+        size + size / 2
+    }
 
     /// The deferred free proper, after the frame's call-site stamp.
     /// Returns the pressure transition this caller won (see
@@ -226,7 +231,8 @@ pub trait CachePolicy: Send + Sync + Sized {
     fn defer(&self, obj: ObjPtr) -> Option<(usize, usize)>;
 
     /// One rung of the OOM ladder (1-based; every rung past 2 repeats the
-    /// slowest one). The frame counts the wait and backs off first.
+    /// slowest one). Every rung must drain the per-CPU stacks. The frame
+    /// counts the wait and backs off first.
     fn recovery_rung(&self, rung: usize);
 
     /// Freeing-thread assist while the gauge sits at the hard level. Must
@@ -236,8 +242,8 @@ pub trait CachePolicy: Send + Sync + Sized {
     /// Returns excess free slabs to the page allocator (node lock held).
     fn shrink(&self, node: &mut Node<Self::Slab>);
 
-    /// Blocks until every deferred free issued so far is reusable; the
-    /// quiesce tail after the frame has flushed the fast path.
+    /// Blocks until every deferred free issued so far is reusable; quiesce
+    /// runs it before the frame drains the per-CPU stacks.
     fn drain_deferred(&self);
 }
 
@@ -252,12 +258,14 @@ pub struct CacheFrame<C, S: FrameSlab> {
     /// The RCU domain deferred frees synchronize with.
     pub rcu: Arc<Rcu>,
     cpus: CpuRegistry,
-    /// Per-CPU slot state, cache-padded so neighbouring slots (and their
-    /// lock words) never share a line.
+    /// Per-CPU policy state and the stats shard and trace lane it owns,
+    /// cache-padded so neighbouring slots (and their lock words) never
+    /// share a line.
     slots: Vec<CachePadded<Mutex<C>>>,
-    /// Per-CPU zero-atomic hit path in front of the slot-locked caches.
-    /// Only immediately-reusable objects park here; the defer pipeline
-    /// never touches it.
+    /// The per-CPU object cache: a zero-atomic stack per CPU that every
+    /// reusable object passes through (immediate frees, refills, latent
+    /// merges, deferred returns). Deferred objects never park here before
+    /// their grace period ends.
     pub fast: FastCache,
     node: Mutex<Node<S>>,
     /// Counters, histograms and the trace ring.
@@ -277,8 +285,14 @@ impl<C: Default + Send, S: FrameSlab> CacheFrame<C, S> {
     /// Builds a frame for `object_size`-byte objects with `ncpus` slots.
     /// The watermarks are `(soft, hard)` deferred-backlog levels, clamped
     /// so that `1 <= soft <= hard`; `oom_retries` caps the OOM ladder
-    /// (zero turns it off). The fast path gets one object cache's worth
-    /// of room per CPU unless `PBS_FASTPATH=off`.
+    /// (zero turns it off). The per-CPU stacks run on the process default
+    /// engine and hold two object caches' worth each (2o, o =
+    /// `sizing.object_cache_size`): the capacity the object cache and the
+    /// room its flush leaves had as two separate tiers. Refills still
+    /// bring o objects and flushes still move about ½o, so a live set
+    /// that swings by up to o objects stays off the node lock; with a
+    /// single o the `alloc-churn` benchmark refilled and flushed five
+    /// times as often and lost a quarter of its throughput.
     ///
     /// # Panics
     ///
@@ -294,11 +308,6 @@ impl<C: Default + Send, S: FrameSlab> CacheFrame<C, S> {
         rcu: Arc<Rcu>,
     ) -> Self {
         let sizing = SizingPolicy::for_object_size(object_size);
-        let fast_cap = if pbs_percpu::env_disabled() {
-            0
-        } else {
-            sizing.object_cache_size
-        };
         let soft = soft.max(1);
         let frame = Self {
             name: name.to_owned(),
@@ -309,7 +318,11 @@ impl<C: Default + Send, S: FrameSlab> CacheFrame<C, S> {
             slots: (0..ncpus)
                 .map(|_| CachePadded::new(Mutex::new(C::default())))
                 .collect(),
-            fast: FastCache::with_slots(fast_cap, ncpus),
+            fast: FastCache::with_slots(
+                2 * sizing.object_cache_size,
+                ncpus,
+                pbs_percpu::default_engine(),
+            ),
             node: Mutex::new(Node::default()),
             stats: CacheStats::new(ncpus),
             outstanding: AtomicUsize::new(0),
@@ -318,7 +331,13 @@ impl<C: Default + Send, S: FrameSlab> CacheFrame<C, S> {
             oom_retries,
             reclaim: OnceLock::new(),
         };
-        frame.record_fastpath_engine(fast_cap);
+        // Trace the engine the stacks selected (`a` = 1 for rseq, 2 for
+        // the emulation; `b` = per-CPU capacity) before the cache is
+        // shared, so the node lane has no other writer yet.
+        let (code, cap) = (frame.fast.engine() as u64, frame.fast.capacity() as u64);
+        frame
+            .stats
+            .record_node_event(EventKind::FastpathEngine, code, cap);
         frame
     }
 
@@ -376,12 +395,12 @@ impl<C: Default + Send, S: FrameSlab> CacheFrame<C, S> {
         guard
     }
 
-    /// Acquires a per-CPU slot for the hot paths. Fast path: an
+    /// Acquires a per-CPU slot for the slow paths. Fast path: an
     /// uncontended `try_lock` of the home slot. On contention: note the
-    /// miss, spin briefly (the holder's critical section is short), then
-    /// steal any other free slot, and only then block on the home slot.
-    /// Returns the index actually locked so callers attribute stats to
-    /// the right shard.
+    /// miss, then [`pbs_percpu::steal_slot`] — spin briefly, steal any
+    /// other free slot, and only then block on the home slot. Returns the
+    /// index actually locked so callers attribute stats to the right
+    /// shard.
     pub fn lock_cpu(&self) -> (usize, MutexGuard<'_, C>) {
         let home = self.cpus.current_cpu().0;
         if let Some(guard) = self.slots[home].try_lock() {
@@ -394,32 +413,18 @@ impl<C: Default + Send, S: FrameSlab> CacheFrame<C, S> {
         } else {
             0
         };
-        let acquired = self.lock_cpu_slow(home);
+        let acquired = pbs_percpu::steal_slot(
+            self.slots.len(),
+            home,
+            |i| self.slots[i].try_lock(),
+            |i| self.slots[i].lock(),
+        );
         if t0 != 0 {
             self.stats
                 .slot_wait_ns
                 .record(pbs_telemetry::now_nanos().saturating_sub(t0));
         }
         acquired
-    }
-
-    /// Contended continuation of [`lock_cpu`](Self::lock_cpu): spin on the
-    /// home slot, steal any free neighbour, then block on home.
-    fn lock_cpu_slow(&self, home: usize) -> (usize, MutexGuard<'_, C>) {
-        for _ in 0..SLOT_SPIN {
-            std::hint::spin_loop();
-            if let Some(guard) = self.slots[home].try_lock() {
-                return (home, guard);
-            }
-        }
-        let n = self.slots.len();
-        for offset in 1..n {
-            let idx = (home + offset) % n;
-            if let Some(guard) = self.slots[idx].try_lock() {
-                return (idx, guard);
-            }
-        }
-        (home, self.slots[home].lock())
     }
 
     /// Grows the cache by one slab from the page allocator, consulting
@@ -540,62 +545,22 @@ impl<C: Default + Send, S: FrameSlab> CacheFrame<C, S> {
             1,
         );
     }
-
-    /// Wire code of the fast path's current engine for trace payloads:
-    /// 1 = rseq, 2 = slot-lock emulation.
-    fn fastpath_engine_code(&self) -> u64 {
-        match self.fast.engine() {
-            pbs_percpu::Engine::Rseq => 1,
-            pbs_percpu::Engine::Locks => 2,
-        }
-    }
-
-    /// Traces the engine the fast path selected at construction (`a` =
-    /// engine code, 0 when built without a fast path; `b` = per-CPU slot
-    /// capacity). Runs before the cache is shared, so the node lane has
-    /// no other writer yet.
-    fn record_fastpath_engine(&self, cap: usize) {
-        let code = if cap == 0 {
-            0
-        } else {
-            self.fastpath_engine_code()
-        };
-        self.stats
-            .record_node_event(EventKind::FastpathEngine, code, cap as u64);
-    }
-
-    /// Traces a fast-path toggle or engine switch on the node lane.
-    fn record_fastpath_toggle(&self) {
-        let _node = self.lock_node();
-        self.stats.record_node_event(
-            EventKind::FastpathToggle,
-            self.fast.is_enabled() as u64,
-            self.fastpath_engine_code(),
-        );
-    }
-
-    /// Live engine switch; parked objects are preserved by the slot
-    /// mode-word protocol, so nothing drains here.
-    pub fn fastpath_set_engine(&self, engine: pbs_percpu::Engine) {
-        self.fast.set_engine(engine);
-        self.record_fastpath_toggle();
-    }
 }
 
 /// The machinery that calls back into the policy.
 impl<C: Default + Send, S: FrameSlab> CacheFrame<C, S> {
-    /// The allocation path, fronted by the zero-atomic per-CPU fast path:
-    /// an uncontended hit takes no lock and performs no atomic RMW (its
-    /// stats fold into the snapshot from thread-local counters). A miss
-    /// tries the slot's cache, then a refill; a failed refill climbs the
-    /// OOM ladder while deferred objects remain that could come back.
+    /// The allocation path: pop this CPU's stack. An uncontended hit
+    /// takes no lock and performs no atomic RMW (its stats fold into the
+    /// snapshot from thread-local counters). A miss refills under the
+    /// slot lock; a failed refill climbs the OOM ladder while deferred
+    /// objects remain that could come back.
     pub fn allocate<P>(&self, p: &P) -> Result<ObjPtr, AllocError>
     where
         P: CachePolicy<Slot = C, Slab = S>,
     {
         if let FastPop::Hit(addr) = self.fast.pop() {
-            // SAFETY: fast-parked addresses originate from `free` on this
-            // cache, each handed out exactly once by the commit protocol.
+            // SAFETY: stacked addresses are objects of this cache, each
+            // handed out exactly once by the commit protocol.
             return Ok(unsafe { obj_at(addr) });
         }
         let mut attempts = 0;
@@ -609,22 +574,37 @@ impl<C: Default + Send, S: FrameSlab> CacheFrame<C, S> {
                 shard.alloc_requests.bump();
                 counted_request = true;
             }
-            let got = match p.take_cached(cpu_idx, &mut slot) {
-                Some(obj) => Ok(obj),
-                None => self.refill_slot(p, cpu_idx, &mut slot),
-            };
+            if let Some(faults) = self.pages.faults() {
+                // Chaos hook: drain every stack before refilling, so
+                // drains race live traffic (before any node lock: the
+                // drain takes it).
+                if faults.should_fail(pbs_fault::site::FASTPATH_DRAIN) {
+                    self.flush_fastpath(p);
+                }
+            }
+            // Refill the room on this CPU's stack plus the object handed
+            // out.
+            let want = self.fast.capacity().saturating_sub(self.fast.depth()) + 1;
+            let mut batch = Vec::new();
+            let got = p
+                .refill(cpu_idx, &mut slot, want, &mut batch)
+                .and_then(|()| batch.pop().ok_or(AllocError::OutOfMemory));
             match got {
                 Ok(obj) => {
                     shard.live_delta.bump_add();
                     self.record_oom_recovery(cpu_idx, attempts);
+                    self.stash(p, cpu_idx, &mut slot, &batch);
                     return Ok(obj);
                 }
                 Err(e) => {
                     // Recover via the ladder instead of failing, while
-                    // deferred objects remain. Release the slot lock first
-                    // so frees on this slot can progress.
+                    // deferred objects remain or other CPUs' stacks hold
+                    // free objects (every rung drains the stacks). Release
+                    // the slot lock first so frees on this slot can
+                    // progress.
                     drop(slot);
-                    if attempts >= self.oom_retries || self.deferred_outstanding() == 0 {
+                    let stranded = self.deferred_outstanding() + self.fast.cached();
+                    if attempts >= self.oom_retries || stranded == 0 {
                         return Err(e);
                     }
                     attempts += 1;
@@ -632,24 +612,6 @@ impl<C: Default + Send, S: FrameSlab> CacheFrame<C, S> {
                 }
             }
         }
-    }
-
-    /// Counts a refill and runs the policy's; first consults the
-    /// `fastpath.disable` fault site, whose injections flip the per-CPU
-    /// fast path live (drain-on-disable) so chaos runs exercise the
-    /// switchover under load. Consulted before any node lock: the toggle
-    /// takes it internally.
-    fn refill_slot<P>(&self, p: &P, cpu_idx: usize, slot: &mut C) -> Result<ObjPtr, AllocError>
-    where
-        P: CachePolicy<Slot = C, Slab = S>,
-    {
-        if let Some(faults) = self.pages.faults() {
-            if faults.should_fail(pbs_fault::site::FASTPATH_DISABLE) {
-                self.fastpath_set_enabled(p, !self.fast.is_enabled());
-            }
-        }
-        self.stats.shard(cpu_idx).refills.bump();
-        p.refill(cpu_idx, slot)
     }
 
     /// One entry into the staged OOM recovery ladder: escalate from
@@ -670,9 +632,9 @@ impl<C: Default + Send, S: FrameSlab> CacheFrame<C, S> {
         p.recovery_rung(rung);
     }
 
-    /// Immediate free: park the object in this CPU's fast-path slot (its
-    /// stats fold in at snapshot time); full or disabled slots fall
-    /// through to the slot-locked cache.
+    /// Immediate free: push the object onto this CPU's stack (its stats
+    /// fold in at snapshot time); a full stack flushes under the slot
+    /// lock.
     pub fn free<P>(&self, p: &P, obj: ObjPtr)
     where
         P: CachePolicy<Slot = C, Slab = S>,
@@ -684,7 +646,29 @@ impl<C: Default + Send, S: FrameSlab> CacheFrame<C, S> {
         let shard = self.stats.shard(cpu_idx);
         shard.frees.bump();
         shard.live_delta.bump_sub();
-        p.cache_free(cpu_idx, &mut slot, obj);
+        self.stash(p, cpu_idx, &mut slot, &[obj]);
+    }
+
+    /// Parks reusable `objs` on this CPU's stack with slot `cpu_idx`
+    /// locked. A stack that fills first flushes down to the policy's
+    /// [`flush_keep`](CachePolicy::flush_keep); objects that still do not
+    /// fit (an rseq bypass) go back to their slabs, so nothing is lost.
+    pub fn stash<P>(&self, p: &P, cpu_idx: usize, slot: &mut C, objs: &[ObjPtr])
+    where
+        P: CachePolicy<Slot = C, Slab = S>,
+    {
+        let mut pushed = self.fast.push_batch(objs);
+        if pushed == objs.len() {
+            return;
+        }
+        let mut excess = Vec::new();
+        self.fast.trim(p.flush_keep(slot), &mut excess);
+        if !excess.is_empty() {
+            self.stats.shard(cpu_idx).flushes.bump();
+        }
+        pushed += self.fast.push_batch(&objs[pushed..]);
+        excess.extend(objs[pushed..].iter().map(|o| o.addr()));
+        self.return_to_slabs(p, &excess);
     }
 
     /// Post-defer governor actions, run with no locks held.
@@ -711,64 +695,40 @@ impl<C: Default + Send, S: FrameSlab> CacheFrame<C, S> {
         }
     }
 
-    /// Returns free objects to their slabs under the node lock, then lets
-    /// the policy shrink.
-    pub fn return_to_slabs<P>(&self, p: &P, objs: &[ObjPtr])
+    /// Returns free objects (pointers or addresses) to their slabs under
+    /// the node lock, then lets the policy shrink.
+    pub fn return_to_slabs<P, T>(&self, p: &P, objs: &[T])
     where
         P: CachePolicy<Slot = C, Slab = S>,
+        T: Copy + Into<usize>,
     {
-        let mut node = self.lock_node();
-        for &obj in objs {
-            // SAFETY: only objects allocated from this cache reach here;
-            // the node lock is held.
-            unsafe { node.give_back(obj, self.sizing.slab_bytes) };
-        }
-        p.shrink(&mut node);
-    }
-
-    /// Returns fast-drained object addresses to their slabs under the
-    /// node lock and traces the drain. `disabling` distinguishes a
-    /// toggle-off drain from a quiesce/OOM flush in the event payload.
-    fn give_back_fast<P>(&self, p: &P, addrs: &[usize], disabling: bool)
-    where
-        P: CachePolicy<Slot = C, Slab = S>,
-    {
-        if addrs.is_empty() {
+        if objs.is_empty() {
             return;
         }
         let mut node = self.lock_node();
-        for &addr in addrs {
-            // SAFETY: only pointers minted by this cache's `allocate` are
-            // pushed onto the fast path, and `addr` was drained exactly
-            // once; the node lock is held.
-            unsafe { node.give_back(obj_at(addr), self.sizing.slab_bytes) };
+        for &obj in objs {
+            // SAFETY: only objects allocated from this cache reach here,
+            // each once; the node lock is held.
+            unsafe { node.give_back(obj_at(obj.into()), self.sizing.slab_bytes) };
         }
-        self.stats.record_node_event(
-            EventKind::FastpathDrain,
-            addrs.len() as u64,
-            disabling as u64,
-        );
         p.shrink(&mut node);
     }
 
-    /// Drains fast-parked objects to their slabs (quiesce/OOM paths).
-    /// The fast path stays enabled and refills organically afterwards.
+    /// Drains every CPU's stack to the slabs (quiesce, the OOM ladder,
+    /// the `fastpath.drain` fault site) and traces the drain. Safe under
+    /// live traffic; the stacks refill on their own afterwards.
     pub fn flush_fastpath<P>(&self, p: &P)
     where
         P: CachePolicy<Slot = C, Slab = S>,
     {
-        self.give_back_fast(p, &self.fast.drain(), false);
-    }
-
-    /// Runtime fast-path toggle: disabling drains parked objects back to
-    /// their slabs so the switchover is leak-free.
-    pub fn fastpath_set_enabled<P>(&self, p: &P, enabled: bool)
-    where
-        P: CachePolicy<Slot = C, Slab = S>,
-    {
-        let drained = self.fast.set_enabled(enabled);
-        self.give_back_fast(p, &drained, true);
-        self.record_fastpath_toggle();
+        let drained = self.fast.drain();
+        if !drained.is_empty() {
+            self.return_to_slabs(p, &drained);
+            // The node lock owns the node lane.
+            let _node = self.lock_node();
+            self.stats
+                .record_node_event(EventKind::FastpathDrain, drained.len() as u64, 0);
+        }
     }
 }
 
@@ -832,26 +792,19 @@ impl<P: CachePolicy> ObjectAllocator for P {
     }
 
     fn quiesce(&self) {
-        // Park nothing across a quiesce: fast-cached objects go back to
-        // their slabs so peak/fragmentation measurements stay comparable.
-        self.frame().flush_fastpath(self);
+        // Park nothing across a quiesce: once the deferred objects are
+        // back, the stacks drain to their slabs so peak/fragmentation
+        // measurements stay comparable.
         self.drain_deferred();
+        self.frame().flush_fastpath(self);
     }
 
     fn deferred_outstanding(&self) -> usize {
         self.frame().deferred_outstanding()
     }
 
-    fn fastpath_set_enabled(&self, enabled: bool) {
-        self.frame().fastpath_set_enabled(self, enabled);
-    }
-
-    fn fastpath_enabled(&self) -> bool {
-        self.frame().fast.is_enabled()
-    }
-
-    fn fastpath_set_engine(&self, engine: pbs_percpu::Engine) {
-        self.frame().fastpath_set_engine(engine);
+    fn flush_fastpath(&self) {
+        self.frame().flush_fastpath(self);
     }
 }
 

@@ -80,7 +80,7 @@ impl KmallocHeap {
     }
 
     /// Quiesces every class: each deferred object is reusable and nothing
-    /// stays parked in any class's fast path.
+    /// stays parked on any class's per-CPU stacks.
     pub fn quiesce(&self) {
         for c in &self.caches {
             c.quiesce();

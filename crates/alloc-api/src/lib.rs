@@ -17,7 +17,8 @@
 //! * [`CpuRegistry`] — stable per-thread "CPU slot" assignment standing in
 //!   for kernel per-CPU data,
 //! * [`CacheFrame`] — the slab-cache machinery both allocators share
-//!   (slots, node, fast path, pressure governor, OOM-ladder skeleton);
+//!   (per-CPU stacks and policy slots, node, pressure governor,
+//!   OOM-ladder skeleton);
 //!   an allocator fills in the [`CachePolicy`] hooks and becomes an
 //!   [`ObjectAllocator`],
 //! * [`KmallocHeap`] — the kmalloc front end over any [`CacheFactory`].
@@ -49,6 +50,5 @@ pub use traits::{AllocError, ObjPtr, ObjectAllocator};
 // Re-exported so allocators and harnesses name the fast-path engine
 // types without a separate dependency edge.
 pub use pbs_percpu::{
-    default_engine as fastpath_default_engine, env_disabled as fastpath_env_disabled,
-    Engine as FastPathEngine, FastPathSnapshot,
+    default_engine as fastpath_default_engine, Engine as FastPathEngine, FastPathSnapshot,
 };

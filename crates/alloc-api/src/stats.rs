@@ -106,10 +106,9 @@ impl SignedCounter {
 /// slots never false-share.
 #[derive(Debug, Default)]
 pub struct StatShard {
-    /// Allocation requests served (successfully).
+    /// Allocation requests served (successfully) off the slow path;
+    /// per-CPU stack hits fold in at snapshot time.
     pub alloc_requests: Counter,
-    /// Allocations served directly from the per-CPU object cache.
-    pub cache_hits: Counter,
     /// Allocations served after merging safe deferred objects from the
     /// latent cache (Prudence only; counted as hits for Figure 7, tracked
     /// separately for diagnostics).
@@ -382,7 +381,6 @@ impl CacheStats {
         let mut live = 0i64;
         for shard in self.shards.iter() {
             snap.alloc_requests += shard.alloc_requests.get();
-            snap.cache_hits += shard.cache_hits.get();
             snap.latent_hits += shard.latent_hits.get();
             snap.frees += shard.frees.get();
             snap.deferred_frees += shard.deferred_frees.get();
@@ -483,8 +481,9 @@ pub struct CacheStatsSnapshot {
     /// rseq critical sections restarted by preemption/migration (always
     /// zero under the emulation engine).
     pub rseq_restarts: u64,
-    /// Fast-path operations that bounced to the slow path (empty/full
-    /// slot, disabled fast path, engine switch in flight, contention).
+    /// Fast-path operations that went to the slow path (empty/full stack,
+    /// or an rseq bypass: drain in flight, unregistered thread, restart
+    /// budget spent).
     pub fastpath_fallbacks: u64,
 }
 
@@ -584,13 +583,24 @@ mod tests {
         s.snapshot(64, 4096)
     }
 
+    /// A snapshot whose stack served `hits` allocations on top of `f`.
+    fn snap_with_hits(hits: u64, f: impl FnOnce(&CacheStats)) -> CacheStatsSnapshot {
+        let s = CacheStats::new(2);
+        f(&s);
+        let fast = pbs_percpu::FastPathSnapshot {
+            alloc_hits: hits,
+            ..Default::default()
+        };
+        s.snapshot_with_fastpath(64, 4096, &fast)
+    }
+
     #[test]
     fn hit_percent_counts_latent_hits() {
-        let snap = snap_with(|s| {
-            s.shard(0).alloc_requests.bump_by(10);
-            s.shard(0).cache_hits.bump_by(6);
+        let snap = snap_with_hits(6, |s| {
+            s.shard(0).alloc_requests.bump_by(4);
             s.shard(1).latent_hits.bump_by(2);
         });
+        assert_eq!(snap.alloc_requests, 10);
         assert!((snap.hit_percent() - 80.0).abs() < 1e-9);
     }
 
@@ -679,14 +689,8 @@ mod tests {
 
     #[test]
     fn merge_sums_counters() {
-        let mut a = snap_with(|s| {
-            s.shard(0).alloc_requests.bump_by(5);
-            s.shard(0).cache_hits.bump_by(5);
-        });
-        let b = snap_with(|s| {
-            s.shard(0).alloc_requests.bump_by(5);
-            s.shard(0).cache_hits.bump_by(1);
-        });
+        let mut a = snap_with_hits(5, |_| {});
+        let b = snap_with_hits(1, |s| s.shard(0).alloc_requests.bump_by(4));
         a.merge(&b);
         assert_eq!(a.alloc_requests, 10);
         assert!((a.hit_percent() - 60.0).abs() < 1e-9);

@@ -75,6 +75,12 @@ impl ObjPtr {
     }
 }
 
+impl From<ObjPtr> for usize {
+    fn from(obj: ObjPtr) -> usize {
+        obj.addr()
+    }
+}
+
 /// A slab cache of fixed-size objects with support for *deferred* frees
 /// synchronized by RCU.
 ///
@@ -176,23 +182,11 @@ pub trait ObjectAllocator: Send + Sync {
         0
     }
 
-    /// Enables or disables this allocator's per-CPU fast path at
-    /// runtime. Disabling must drain any fast-parked objects back into
-    /// the regular caches so the switchover is leak-free; both
-    /// directions must be safe under concurrent traffic. The default is
-    /// a no-op for allocators without a fast path.
-    fn fastpath_set_enabled(&self, _enabled: bool) {}
-
-    /// Whether the per-CPU fast path is currently accepting operations.
-    /// Allocators without one report `false`.
-    fn fastpath_enabled(&self) -> bool {
-        false
-    }
-
-    /// Switches the fast path's engine live (rseq ⇄ slot-lock
-    /// emulation), preserving parked objects. Requests for an
-    /// unavailable engine degrade to the portable one. No-op default.
-    fn fastpath_set_engine(&self, _engine: pbs_percpu::Engine) {}
+    /// Drains this allocator's per-CPU object stacks back to their slabs.
+    /// Must be safe under concurrent traffic; the stacks refill on their
+    /// own afterwards. The default is a no-op for allocators without
+    /// per-CPU stacks.
+    fn flush_fastpath(&self) {}
 }
 
 #[cfg(test)]

@@ -136,8 +136,8 @@ struct RunMeta {
     /// Kernel release (`/proc/sys/kernel/osrelease`), or "unknown".
     kernel: String,
     /// Fast-path engine new caches select here ("rseq" / "locks"), after
-    /// any `PBS_FASTPATH` override; "off" when the override disabled the
-    /// fast path entirely (the run measures the regular paths).
+    /// any `PBS_FASTPATH` override. Committed runs from before the
+    /// single-tier cache may also read "off" (no per-CPU stack).
     fastpath_engine: String,
     /// Value of `PBS_FASTPATH` if the run was forced, else null.
     fastpath_override: Option<String>,
@@ -164,11 +164,7 @@ fn run_metadata() -> RunMeta {
         git_rev,
         nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
         kernel,
-        fastpath_engine: if pbs_alloc_api::fastpath_env_disabled() {
-            "off".to_string()
-        } else {
-            pbs_alloc_api::fastpath_default_engine().label().to_string()
-        },
+        fastpath_engine: pbs_alloc_api::fastpath_default_engine().label().to_string(),
         fastpath_override: std::env::var("PBS_FASTPATH").ok(),
         reclaim_backend: pbs_rcu::reclaim::ReclaimBackend::from_env()
             .label()

@@ -29,8 +29,9 @@ use crate::preflush::preflush_worker;
 pub struct PrudenceCache {
     core: Arc<Core>,
     config: PrudenceConfig,
-    /// Pre-flush request channel; taken (closed) when the cache drops.
-    preflush_tx: Mutex<Option<Sender<usize>>>,
+    /// Pre-flush request channel (slot index, stack depth the trigger
+    /// read); taken (closed) when the cache drops.
+    preflush_tx: Mutex<Option<Sender<(usize, usize)>>>,
     worker: Option<JoinHandle<()>>,
 }
 
@@ -126,43 +127,37 @@ impl PrudenceCache {
         &self.core.frame.hook().domain
     }
 
-    /// Ladder rung 1: merge and flush this thread's slot and sweep the
-    /// node's pending list at the current epoch — no grace-period wait.
-    /// Often enough when the backlog is merely parked in the latent cache
-    /// past its grace period.
+    /// Ladder rung 1: drain the stacks, move this thread's latent cache to
+    /// its latent slabs and sweep the node's pending list at the current
+    /// epoch — no grace-period wait. Often enough when the backlog is
+    /// merely parked in the latent cache past its grace period.
     fn oom_flush_local(&self) {
         self.frame().flush_fastpath(self);
-        let (cpu_idx, mut cpu) = self.frame().lock_cpu();
-        self.core.merge_caches(cpu_idx, &mut cpu, 0);
-        let moved: Vec<LatentEntry> = cpu.latent.drain(..).collect();
-        drop(cpu);
+        let moved: Vec<LatentEntry> = self.frame().lock_cpu().1.latent.drain(..).collect();
         self.core.defer_to_slabs(&moved);
         let (mut node, _, _) = self.core.sweep_pending();
         self.core.shrink(&mut node);
     }
 
     /// Slab selection for refill (Algorithm lines 17-21 plus the Figure 5
-    /// fragmentation optimization). Scans at most `slab_scan_window` slabs
-    /// of the partial list, all of which have free objects (see
-    /// [`PrudentSlab::classify`]); lazily reclaims completed deferred
-    /// objects of every slab it inspects.
-    fn select_slab(
+    /// fragmentation optimization): fills `out` with the slabs to take
+    /// from, best last (the caller pops). Ranks at most
+    /// `slab_scan_window` slabs of the partial list, all of which have
+    /// free objects (see [`PrudentSlab::classify`]) — once per window, not
+    /// once per slab taken, since taking from one slab leaves the others'
+    /// ranks unchanged — and lazily reclaims completed deferred objects of
+    /// every slab it inspects. Falls back to one free-list slab.
+    fn select_slabs(
         &self,
         node: &mut Node,
         epoch: u64,
         allow_deferred_heavy: bool,
-    ) -> Option<usize> {
+        out: &mut Vec<usize>,
+    ) {
         let window = self.config.slab_scan_window;
-        // Partial list first.
-        let partial: Vec<usize> = node
-            .lists
-            .list(ListKind::Partial)
-            .iter()
-            .take(window)
-            .copied()
-            .collect();
-        let mut best: Option<(usize, (usize, usize))> = None;
-        for index in partial {
+        let mut ranked = Vec::new();
+        for pos in 0..node.lists.len(ListKind::Partial).min(window) {
+            let index = node.lists.list(ListKind::Partial)[pos];
             let slab = node.slab_mut(index);
             self.frame().note_reclaimed(slab.reclaim_completed(epoch));
             let free = slab.raw.free_count();
@@ -170,8 +165,9 @@ impl PrudenceCache {
             let deferred = slab.deferred.len();
             debug_assert!(free > 0, "partial slab {index} has no free objects");
             if !self.config.deferred_aware_selection {
-                // Baseline behaviour: first usable partial slab.
-                return Some(index);
+                // Baseline behaviour: partial slabs in list order.
+                ranked.push(((0, 0, pos), index));
+                continue;
             }
             // Skip slabs whose allocated objects are mostly deferred: the
             // whole slab is likely to become free (returnable) soon.
@@ -181,13 +177,12 @@ impl PrudenceCache {
             // Minimize total fragmentation: prefer slabs with no deferred
             // objects, then the fullest candidate (best-fit keeps sparse
             // slabs draining toward free).
-            let key = (deferred, free);
-            if best.is_none_or(|(_, bk)| key < bk) {
-                best = Some((index, key));
-            }
+            ranked.push(((deferred, free, pos), index));
         }
-        if let Some((index, _)) = best {
-            return Some(index);
+        ranked.sort_unstable_by(|a, b| b.cmp(a));
+        out.extend(ranked.into_iter().map(|(_, index)| index));
+        if !out.is_empty() {
+            return;
         }
         // Free list next (lines 20-21); prefer slabs without pending
         // deferred objects — slabs that are entirely "about to be free"
@@ -202,42 +197,25 @@ impl PrudenceCache {
                 continue;
             }
             if slab.deferred.is_empty() {
-                return Some(index);
+                out.push(index);
+                return;
             }
             if allow_deferred_heavy && fallback.is_none() {
                 fallback = Some(index);
             }
         }
-        fallback
+        out.extend(fallback);
     }
 
-    /// Object-cache flush with the proportional-flush optimization (§4.2):
-    /// the more deferred objects pending in the latent cache, the more
-    /// objects are flushed, so the post-grace-period merge will fit.
-    fn flush_obj_cache(&self, cpu_idx: usize, cpu: &mut CpuState) {
-        if cpu.obj_cache.is_empty() {
-            return;
-        }
-        self.frame().stats.shard(cpu_idx).flushes.bump();
-        let base_keep = self.frame().sizing.object_cache_size / 2;
-        let keep = if self.config.proportional_flush {
-            base_keep.saturating_sub(cpu.latent.len())
-        } else {
-            base_keep
-        };
-        let n = cpu.obj_cache.len().saturating_sub(keep);
-        let excess: Vec<ObjPtr> = cpu.obj_cache.drain(..n).collect();
-        self.frame().return_to_slabs(self, &excess);
-    }
-
-    /// Schedules an idle-time pre-flush for a CPU slot (lines 41-43).
-    fn schedule_preflush(&self, cpu_idx: usize, cpu: &mut CpuState) {
+    /// Schedules an idle-time pre-flush for a CPU slot (lines 41-43),
+    /// passing the stack depth the trigger read.
+    fn schedule_preflush(&self, cpu_idx: usize, cpu: &mut CpuState, depth: usize) {
         if !self.config.preflush || cpu.preflush_pending {
             return;
         }
         if let Some(tx) = self.preflush_tx.lock().as_ref() {
             cpu.preflush_pending = true;
-            let _ = tx.send(cpu_idx);
+            let _ = tx.send((cpu_idx, depth));
         }
     }
 
@@ -272,29 +250,21 @@ impl PrudenceCache {
             self.core.defer_to_slabs(&[(obj, gp, queued_ns)]);
             return;
         }
-        let threshold = self.frame().sizing.object_cache_size;
+        let frame = self.frame();
+        let threshold = frame.sizing.object_cache_size;
         if cpu.latent.len() < threshold {
             // Fast path (lines 39-44).
             cpu.latent.push_back((obj, gp, queued_ns));
-            if cpu.total_cached() > threshold {
-                self.schedule_preflush(cpu_idx, &mut cpu);
+            let depth = frame.fast.depth();
+            if depth + cpu.latent.len() > threshold {
+                self.schedule_preflush(cpu_idx, &mut cpu, depth);
             }
             return;
         }
-        // Slow path (lines 45-51): make room, retry, else latent slab.
-        // Flushing the object cache only helps by making room for the
-        // merge below, so skip both when the oldest latent stamp is still
-        // inside its grace period — nothing could merge, and the flush
-        // would just ping-pong freshly refilled objects back through the
-        // node lock (and on to slab grow/shrink churn).
-        let mergeable = cpu
-            .latent
-            .front()
-            .is_some_and(|&(_, gp, _)| gp.is_completed_at(self.frame().rcu.current_epoch()));
-        if mergeable {
-            self.flush_obj_cache(cpu_idx, &mut cpu);
-            self.core.merge_caches(cpu_idx, &mut cpu, queued_ns);
-        }
+        // Slow path (lines 45-51): make room by merging onto the stack
+        // (which flushes proportionally if it fills), retry, else latent
+        // slab.
+        self.merge_onto_stack(cpu_idx, &mut cpu, queued_ns);
         if cpu.latent.len() < threshold {
             cpu.latent.push_back((obj, gp, queued_ns));
         } else {
@@ -308,16 +278,27 @@ impl PrudenceCache {
             // order latent slabs rely on.
             let moved: Vec<LatentEntry> = cpu.latent.drain(..n).collect();
             cpu.latent.push_back((obj, gp, queued_ns));
-            self.frame().stats.ring.record(
+            frame.stats.ring.record(
                 cpu_idx,
                 EventKind::LatentFlush,
-                self.frame().stats.id(),
+                frame.stats.id(),
                 moved.len() as u64,
                 cpu.latent.len() as u64,
             );
             drop(cpu);
             self.core.defer_to_slabs(&moved);
         }
+    }
+
+    /// Merges the locked slot's grace-period-complete latent objects onto
+    /// this CPU's stack (MERGE_CACHES; see [`Core::merge_caches`]).
+    fn merge_onto_stack(&self, cpu_idx: usize, cpu: &mut CpuState, now_hint: u64) {
+        let frame = self.frame();
+        let mut merged = Vec::new();
+        let size = frame.sizing.object_cache_size;
+        self.core
+            .merge_caches(cpu_idx, cpu, size, &mut merged, now_hint);
+        frame.stash(self, cpu_idx, cpu, &merged);
     }
 }
 
@@ -348,13 +329,22 @@ impl Core {
         (node, reclaimed, epoch)
     }
 
-    /// MERGE_CACHES wrapper that maintains the outstanding-deferred count,
+    /// MERGE_CACHES wrapper: moves up to `capacity` reusable latent
+    /// objects into `out`, bound for the stack, maintains the
+    /// outstanding-deferred count,
     /// records the defer→reusable delay of each merged object, and traces
     /// the merge. `cpu_idx` is the slot whose lock the caller holds — it
     /// picks the stats shard's trace lane (single-writer under that lock).
     /// `now_hint` forwards a clock value the caller already read (0 =
     /// none), so tracing costs at most one clock read per operation.
-    fn merge_caches(&self, cpu_idx: usize, cpu: &mut CpuState, now_hint: u64) -> usize {
+    fn merge_caches(
+        &self,
+        cpu_idx: usize,
+        cpu: &mut CpuState,
+        capacity: usize,
+        out: &mut Vec<ObjPtr>,
+        now_hint: u64,
+    ) -> usize {
         let frame = &self.frame;
         let now = if now_hint != 0 {
             now_hint
@@ -365,7 +355,8 @@ impl Core {
         };
         let merged = cpu.merge_caches(
             frame.rcu.current_epoch(),
-            frame.sizing.object_cache_size,
+            capacity,
+            out,
             |obj, queued_ns| {
                 pbs_telemetry::site::note_reclaimed(obj.addr());
                 if now != 0 && queued_ns != 0 {
@@ -424,25 +415,28 @@ impl Core {
         self.shrink(&mut node);
     }
 
-    /// Latent-cache pre-flush, run by the idle worker (§4.2).
+    /// Latent-cache pre-flush, run by the idle worker (§4.2): moves the
+    /// deferred objects by which the stack (at the `depth` the trigger
+    /// read) and the latent cache together exceed the object-cache size to
+    /// their latent slabs, oldest first. When the recent allocation rate
+    /// exceeds the free/defer rate the pre-flush is lazier (allocation
+    /// will drain the stack anyway).
     ///
-    /// Merges any grace-period-complete objects first (the paper notes this
-    /// is done opportunistically during pre-flush), then moves excess
-    /// deferred objects to their latent slabs. When the recent allocation
-    /// rate exceeds the free/defer rate the pre-flush is lazier (allocation
-    /// will drain the object cache anyway).
-    pub(crate) fn preflush(&self, cpu_idx: usize) {
+    /// The paper also merges grace-period-complete objects here. The
+    /// worker cannot push onto the owner's stack, so such objects leave
+    /// with the oldest and come back through the node sweep instead.
+    pub(crate) fn preflush(&self, cpu_idx: usize, depth: usize) {
         let mut cpu = self.frame.slots()[cpu_idx].lock();
         cpu.preflush_pending = false;
         // Single-writer: only the pre-flush worker bumps this, and only
         // while holding the matching slot lock.
         self.frame.stats.shard(cpu_idx).preflushes.bump();
-        self.merge_caches(cpu_idx, &mut cpu, 0);
         let size = self.frame.sizing.object_cache_size;
-        if cpu.total_cached() <= size {
+        let total = depth + cpu.latent.len();
+        if total <= size {
             return;
         }
-        let mut excess = cpu.total_cached() - size;
+        let mut excess = total - size;
         if cpu.allocs_since > cpu.frees_since + cpu.defers_since {
             excess = excess.div_ceil(2);
         }
@@ -461,14 +455,11 @@ impl Core {
         self.defer_to_slabs(&moved);
     }
 
-    /// Merges every slot's completed latent objects and pushes the rest to
-    /// their latent slabs, so a node sweep can free whole slabs.
+    /// Moves every slot's latent cache to its latent slabs, so a node
+    /// sweep can reclaim the completed objects and free whole slabs.
     fn flush_latent_caches(&self) {
-        for (cpu_idx, state) in self.frame.slots().iter().enumerate() {
-            let mut cpu = state.lock();
-            self.merge_caches(cpu_idx, &mut cpu, 0);
-            let moved: Vec<LatentEntry> = cpu.latent.drain(..).collect();
-            drop(cpu);
+        for state in self.frame.slots() {
+            let moved: Vec<LatentEntry> = state.lock().latent.drain(..).collect();
             self.defer_to_slabs(&moved);
         }
     }
@@ -538,31 +529,27 @@ impl CachePolicy for PrudenceCache {
         &self.core.frame
     }
 
-    /// MALLOC's slot-local part (Algorithm lines 1-12): pop the object
-    /// cache; failing that, merge grace-period-complete latent objects
-    /// (lines 7-11) and retry before touching the node lists.
-    #[inline]
-    fn take_cached(&self, cpu_idx: usize, cpu: &mut CpuState) -> Option<ObjPtr> {
-        let shard = self.frame().stats.shard(cpu_idx);
-        cpu.allocs_since += 1;
-        if let Some(obj) = cpu.obj_cache.pop() {
-            shard.cache_hits.bump();
-            return Some(obj);
-        }
-        if self.core.merge_caches(cpu_idx, cpu, 0) > 0 {
-            if let Some(obj) = cpu.obj_cache.pop() {
-                shard.latent_hits.bump();
-                return Some(obj);
-            }
-        }
-        None
-    }
-
-    /// REFILL_OBJECT_CACHE (Algorithm lines 13-30): partial refill sized by
-    /// pending deferred objects, deferred-aware slab selection, growing the
-    /// cache as a last resort.
-    fn refill(&self, cpu_idx: usize, cpu: &mut CpuState) -> Result<ObjPtr, AllocError> {
+    /// MALLOC's miss path: merge grace-period-complete latent objects
+    /// (Algorithm lines 7-11) before touching the node lists; failing
+    /// that, REFILL_OBJECT_CACHE (lines 13-30) — partial refill sized by
+    /// pending deferred objects, deferred-aware slab selection, growing
+    /// the cache as a last resort.
+    fn refill(
+        &self,
+        cpu_idx: usize,
+        cpu: &mut CpuState,
+        want: usize,
+        batch: &mut Vec<ObjPtr>,
+    ) -> Result<(), AllocError> {
         let frame = self.frame();
+        let shard = frame.stats.shard(cpu_idx);
+        let merged = self.core.merge_caches(cpu_idx, cpu, want, batch, 0);
+        cpu.allocs_since += merged as u64;
+        if merged > 0 {
+            shard.latent_hits.bump();
+            return Ok(());
+        }
+        shard.refills.bump();
         let size = frame.sizing.object_cache_size;
         let latent_count = if self.config.partial_refill {
             cpu.latent.len()
@@ -576,36 +563,38 @@ impl CachePolicy for PrudenceCache {
         // by the proportional flush.
         let want_total = size.saturating_sub(latent_count).max(size / 4).max(1);
         if want_total < size {
-            frame.stats.shard(cpu_idx).partial_refills.bump();
+            shard.partial_refills.bump();
         }
         let mut node = frame.lock_node();
         let epoch = frame.rcu.current_epoch();
         // Merge grace-period-complete latent-slab objects back into their
         // slabs first (§4.1), so refill reuses them instead of growing.
         frame.note_reclaimed(reclaim_pending(&mut node, epoch));
-        let mut want = want_total;
+        let mut want = want_total.min(want);
+        let mut candidates = Vec::new();
         while want > 0 {
-            let index = match self.select_slab(&mut node, epoch, false) {
+            if candidates.is_empty() {
+                self.select_slabs(&mut node, epoch, false, &mut candidates);
+            }
+            let index = match candidates.pop() {
                 Some(i) => i,
                 // Growing is for satisfying the demanded object, not for
                 // topping up the batch: once the cache holds anything,
                 // stop rather than grow (otherwise an exactly-full heap
                 // gains a slab on every boundary refill).
-                None if !cpu.obj_cache.is_empty() => break,
+                None if !batch.is_empty() => break,
                 None => match frame.grow(&mut node, pbs_fault::site::PRUDENCE_GROW) {
                     Ok(i) => i,
                     Err(e) => {
                         // Last resort before failing: slabs we skipped
                         // because most of their objects are deferred
                         // ("unless it needs to grow the slab cache").
-                        match self.select_slab(&mut node, epoch, true) {
-                            Some(i) => i,
-                            None => return Err(e.into()),
-                        }
+                        self.select_slabs(&mut node, epoch, true, &mut candidates);
+                        candidates.pop().ok_or(AllocError::from(e))?
                     }
                 },
             };
-            let taken = node.slab_mut(index).raw.take(want, &mut cpu.obj_cache);
+            let taken = node.slab_mut(index).raw.take(want, batch);
             want -= taken;
             node.relist(index);
             if taken == 0 {
@@ -614,16 +603,24 @@ impl CachePolicy for PrudenceCache {
                 break;
             }
         }
-        cpu.obj_cache.pop().ok_or(AllocError::OutOfMemory)
+        cpu.allocs_since += batch.len() as u64;
+        Ok(())
     }
 
-    #[inline]
-    fn cache_free(&self, cpu_idx: usize, cpu: &mut CpuState, obj: ObjPtr) {
-        cpu.frees_since += 1;
-        cpu.obj_cache.push(obj);
-        if cpu.obj_cache.len() > self.frame().sizing.object_cache_size {
-            self.flush_obj_cache(cpu_idx, cpu);
-        }
+    /// The proportional flush (§4.2): the more deferred objects pending in
+    /// the latent cache, the fewer objects a flushing stack keeps beyond
+    /// its first object cache (o + ½o − latent), so the
+    /// post-grace-period merge will fit.
+    fn flush_keep(&self, cpu: &mut CpuState) -> usize {
+        let size = self.frame().sizing.object_cache_size;
+        let keep = size
+            + if self.config.proportional_flush {
+                (size / 2).saturating_sub(cpu.latent.len())
+            } else {
+                size / 2
+            };
+        cpu.frees_since += self.frame().fast.capacity().saturating_sub(keep) as u64;
+        keep
     }
 
     /// FREE_DEFERRED (Algorithm lines 34-51). Under a robust backend the
@@ -699,7 +696,7 @@ impl CachePolicy for PrudenceCache {
             return;
         }
         let (cpu_idx, mut cpu) = self.frame().lock_cpu();
-        self.core.merge_caches(cpu_idx, &mut cpu, 0);
+        self.merge_onto_stack(cpu_idx, &mut cpu, 0);
         drop(cpu);
         self.core.sweep_pending();
     }
@@ -879,11 +876,13 @@ mod tests {
         let after = c.stats();
         // Reclaimed objects are reusable: regrowth is allowed only for
         // slabs that quiesce's shrink legitimately returned to the page
-        // allocator, plus the slack of objects parked in *other* CPU
-        // slots' object caches — at exact heap capacity a slot whose own
-        // cache ran dry cannot steal them and must grow instead.
-        let parked_slack =
-            (2 * c.policy().object_cache_size).div_ceil(c.policy().objects_per_slab) as u64;
+        // allocator, plus the slack of objects parked on *another* CPU's
+        // stack — at exact heap capacity a CPU whose own stack ran dry
+        // cannot steal them and must grow instead.
+        let parked_slack = c
+            .policy()
+            .object_cache_size
+            .div_ceil(c.policy().objects_per_slab) as u64;
         assert!(
             after.grows - before.grows <= after.shrinks + parked_slack,
             "grew more than it shrank: before={before:?} after={after:?}"

@@ -1,4 +1,4 @@
-//! Per-CPU allocator state: the object cache and its latent cache.
+//! Per-CPU policy state: the latent cache beside the object stack.
 
 use std::collections::VecDeque;
 
@@ -10,18 +10,17 @@ use pbs_rcu::GpState;
 /// at defer time — the telemetry convention for "untimed").
 pub(crate) type LatentEntry = (ObjPtr, GpState, u64);
 
-/// One CPU slot's caches (paper Figure 4, left side).
-///
-/// * `obj_cache` — free objects ready to serve allocations.
-/// * `latent` — deferred objects stamped with the grace-period state at
-///   defer time, oldest first. Hidden from allocation until their grace
-///   period completes, then merged into `obj_cache`.
+/// One CPU slot's latent cache (paper Figure 4, left side): deferred
+/// objects stamped with the grace-period state at defer time, oldest
+/// first. Hidden from allocation until their grace period completes,
+/// then merged into the object cache — the frame's per-CPU stack.
 ///
 /// Rate counters feed the pre-flush aggressiveness decision (§4.2: be
-/// aggressive when frees outpace allocations, lazy otherwise).
+/// aggressive when frees outpace allocations, lazy otherwise). They count
+/// objects crossing between the stack and the node: refilled or merged
+/// in (`allocs_since`), flushed out (`frees_since`), and deferred.
 #[derive(Debug, Default)]
 pub struct CpuState {
-    pub(crate) obj_cache: Vec<ObjPtr>,
     pub(crate) latent: VecDeque<LatentEntry>,
     pub(crate) allocs_since: u64,
     pub(crate) frees_since: u64,
@@ -30,24 +29,26 @@ pub struct CpuState {
 }
 
 impl CpuState {
-    /// Moves latent objects whose grace period has completed into the
-    /// object cache, up to `capacity` (Algorithm 1, MERGE_CACHES,
-    /// lines 60-65). Stamps are non-decreasing front-to-back, so a failed
-    /// front check ends the merge. Returns the number merged; `on_merge`
-    /// receives each merged object and its defer-time clock so the caller
-    /// can record the defer→reusable delay and credit site attribution.
+    /// Moves up to `capacity` latent objects whose grace period has
+    /// completed into `out`, bound for the object cache (Algorithm 1,
+    /// MERGE_CACHES, lines 60-65). Stamps are non-decreasing
+    /// front-to-back, so a failed front check ends the merge. Returns the
+    /// number merged; `on_merge` receives each merged object and its
+    /// defer-time clock so the caller can record the defer→reusable delay
+    /// and credit site attribution.
     pub(crate) fn merge_caches(
         &mut self,
         epoch: u64,
         capacity: usize,
+        out: &mut Vec<ObjPtr>,
         mut on_merge: impl FnMut(ObjPtr, u64),
     ) -> usize {
         let mut merged = 0;
-        while self.obj_cache.len() < capacity {
+        while merged < capacity {
             match self.latent.front() {
                 Some(&(_, gp, _)) if gp.is_completed_at(epoch) => {
                     let (obj, _, queued_ns) = self.latent.pop_front().expect("front exists");
-                    self.obj_cache.push(obj);
+                    out.push(obj);
                     on_merge(obj, queued_ns);
                     merged += 1;
                 }
@@ -55,12 +56,6 @@ impl CpuState {
             }
         }
         merged
-    }
-
-    /// Objects held in both caches together (the pre-flush trigger
-    /// compares this against the object-cache size, lines 41-42).
-    pub(crate) fn total_cached(&self) -> usize {
-        self.obj_cache.len() + self.latent.len()
     }
 }
 
@@ -93,13 +88,14 @@ mod tests {
         cpu.latent.push_back((obj(0x1000), early, 0));
         cpu.latent.push_back((obj(0x2000), early, 0));
         let raw = early.raw_epoch();
+        let mut out = Vec::new();
         assert_eq!(
-            cpu.merge_caches(raw + 1, 10, |_, _| {}),
+            cpu.merge_caches(raw + 1, 10, &mut out, |_, _| {}),
             0,
             "grace period incomplete"
         );
-        assert_eq!(cpu.merge_caches(raw + 2, 10, |_, _| {}), 2);
-        assert_eq!(cpu.obj_cache.len(), 2);
+        assert_eq!(cpu.merge_caches(raw + 2, 10, &mut out, |_, _| {}), 2);
+        assert_eq!(out, vec![obj(0x1000), obj(0x2000)]);
         assert!(cpu.latent.is_empty());
     }
 
@@ -110,8 +106,12 @@ mod tests {
         for i in 0..5 {
             cpu.latent.push_back((obj(0x1000 + i * 8), early, 0));
         }
-        assert_eq!(cpu.merge_caches(early.raw_epoch() + 2, 3, |_, _| {}), 3);
-        assert_eq!(cpu.obj_cache.len(), 3);
+        let mut out = Vec::new();
+        assert_eq!(
+            cpu.merge_caches(early.raw_epoch() + 2, 3, &mut out, |_, _| {}),
+            3
+        );
+        assert_eq!(out.len(), 3);
         assert_eq!(cpu.latent.len(), 2);
     }
 
@@ -124,7 +124,10 @@ mod tests {
         cpu.latent.push_back((obj(0x2000), early, 0));
         // Front not complete at early+2 even though the one behind is;
         // merge is conservative and stops.
-        assert_eq!(cpu.merge_caches(early.raw_epoch() + 2, 10, |_, _| {}), 0);
+        assert_eq!(
+            cpu.merge_caches(early.raw_epoch() + 2, 10, &mut Vec::new(), |_, _| {}),
+            0
+        );
     }
 
     #[test]
@@ -134,15 +137,9 @@ mod tests {
         cpu.latent.push_back((obj(0x1000), early, 7));
         cpu.latent.push_back((obj(0x2000), early, 0)); // untimed entry
         let mut stamps = Vec::new();
-        cpu.merge_caches(early.raw_epoch() + 2, 10, |_, ns| stamps.push(ns));
+        cpu.merge_caches(early.raw_epoch() + 2, 10, &mut Vec::new(), |_, ns| {
+            stamps.push(ns)
+        });
         assert_eq!(stamps, vec![7, 0]);
-    }
-
-    #[test]
-    fn total_cached_counts_both() {
-        let mut cpu = CpuState::default();
-        cpu.obj_cache.push(obj(0x10));
-        cpu.latent.push_back((obj(0x20), gp(0), 0));
-        assert_eq!(cpu.total_cached(), 2);
     }
 }

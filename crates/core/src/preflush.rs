@@ -13,13 +13,14 @@ use crossbeam::channel::Receiver;
 
 use crate::cache::Core;
 
-/// Worker loop: drains CPU indices whose latent caches need pre-flushing.
-/// Exits when the cache is dropped (channel closed or upgrade fails).
-pub(crate) fn preflush_worker(cache: Weak<Core>, rx: Receiver<usize>) {
-    while let Ok(cpu_idx) = rx.recv() {
+/// Worker loop: drains (CPU slot, stack depth) requests for latent caches
+/// that need pre-flushing. Exits when the cache is dropped (channel closed
+/// or upgrade fails).
+pub(crate) fn preflush_worker(cache: Weak<Core>, rx: Receiver<(usize, usize)>) {
+    while let Ok((cpu_idx, depth)) = rx.recv() {
         let Some(cache) = cache.upgrade() else {
             return;
         };
-        cache.preflush(cpu_idx);
+        cache.preflush(cpu_idx, depth);
     }
 }

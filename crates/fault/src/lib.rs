@@ -63,11 +63,10 @@ pub mod site {
     /// always safe to inject.
     pub const RECLAIM_ADVANCE: &str = "reclaim.advance";
     /// Consulted by both caches' refill slow paths. Each injected fault
-    /// flips the per-CPU fast path live — off (draining parked objects
-    /// back to the regular caches) when it is on, back on otherwise — so
-    /// harnesses can prove mid-run switchover is leak-free and
+    /// drains every per-CPU object stack back to the slabs mid-run, so
+    /// harnesses can prove drains under live traffic are leak-free and
     /// accounting-balanced.
-    pub const FASTPATH_DISABLE: &str = "fastpath.disable";
+    pub const FASTPATH_DRAIN: &str = "fastpath.drain";
     /// One simulated TCP accept in `pbs_simnet::SimNet::connect`. An
     /// injected fault refuses the handshake (SYN drop) before any slab
     /// traffic happens, so churn harnesses can race connection setup

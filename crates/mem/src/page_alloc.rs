@@ -180,7 +180,7 @@ impl PageAllocator {
 
     /// The fault injector this allocator consults, when one is attached.
     /// Caches built on this allocator share it so their own fault sites
-    /// (e.g. [`site::FASTPATH_DISABLE`](pbs_fault::site::FASTPATH_DISABLE))
+    /// (e.g. [`site::FASTPATH_DRAIN`](pbs_fault::site::FASTPATH_DRAIN))
     /// ride the same seeded plan as the page-level ones.
     pub fn faults(&self) -> Option<&Arc<FaultInjector>> {
         self.faults.as_ref()

@@ -1,4 +1,4 @@
-//! Per-CPU critical sections with two interchangeable engines.
+//! Per-CPU object stacks with two interchangeable engines.
 //!
 //! The hot paths of both allocators (`prudence`, `pbs-slub`) want an
 //! uncontended alloc/free pair to perform **zero atomic
@@ -12,8 +12,10 @@
 //! any `lock`-prefixed instruction.
 //!
 //! This crate packages that as a [`FastCache`]: a per-CPU array stack of
-//! `usize` values (object addresses) with push/pop commit points. Two
-//! engines implement the protocol behind one API:
+//! `usize` values (object addresses) with push/pop commit points. It is
+//! the allocators' only per-CPU object cache: hits pop and push single
+//! objects, while refills, flushes and drains move batches. Two engines
+//! implement the protocol behind one API:
 //!
 //! * [`Engine::Rseq`] — the real thing. Requires Linux ≥ 4.18 on
 //!   x86-64/glibc with `membarrier(PRIVATE_EXPEDITED_RSEQ)` available
@@ -21,51 +23,52 @@
 //!   sections, which remote drains need). Selected automatically, like
 //!   the membarrier fallback in `pbs-rcu`.
 //! * [`Engine::Locks`] — a portable emulation that performs the same
-//!   slot operations under a per-slot `parking_lot` mutex (today's
-//!   slot-lock protocol). Always available; the only choice under Miri
-//!   or on non-rseq platforms, and forceable with `PBS_FASTPATH=locks`.
+//!   slot operations under a per-slot `parking_lot` mutex. Always
+//!   available; the only choice under Miri or on non-rseq platforms, and
+//!   forceable with `PBS_FASTPATH=locks`.
 //!
-//! Engines are **live-switchable per cache**: every slot carries a mode
-//! word (`off` / `rseq` / `locks`) that the rseq critical section checks
-//! *inside* the commit window and the lock engine checks under its
-//! mutex. Switching modes takes every slot lock, parks the slots in
-//! `off`, issues one rseq fence (aborting any still-running critical
-//! section), and only then installs the new mode — so a stale reader of
-//! the engine hint can never commit against the wrong protocol; it just
-//! bails to the caller's slow path.
+//! A cache picks its engine once, at construction. Every slot carries a
+//! mode word that the rseq critical section checks *inside* the commit
+//! window: a drain takes every slot lock, parks the slots in `off`,
+//! issues one rseq fence (aborting any still-running critical section),
+//! empties them, and only then restores the mode — so a concurrent
+//! operation either committed before the drain or bails to the caller's
+//! slow path.
 //!
 //! Statistics (`alloc_hits`, `free_hits`, `restarts`, `fallbacks`) are
 //! accumulated in per-thread single-writer counters — plain load+store
 //! bumps, since counting must not reintroduce the atomics the fast path
 //! just removed — registered with a shared sink that
 //! [`FastCache::snapshot`] reads through, so no count ever waits on a
-//! thread-exit flush.
+//! thread-exit flush. Batch operations are not hits and count only
+//! their rseq restarts.
 //!
 //! [`rseq(2)`]: https://man7.org/linux/man-pages/man2/rseq.2.html
 
 mod rseq;
 mod tls;
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+#[cfg(all(pbs_rseq, not(miri)))]
+use rseq::{RSEQ_BYPASS, RSEQ_MOVED, RSEQ_RESTART};
 
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
-/// Slot mode: no fast-path commits allowed (drains, engine switches).
+use parking_lot::{Mutex, MutexGuard};
+
+/// Slot mode: no fast-path commits allowed (a drain is in flight).
+/// Otherwise a slot's mode is its cache's engine as `u32`.
 const MODE_OFF: u32 = 0;
-/// Slot mode: rseq critical sections may commit; the mutex is only for
-/// remote drains and mode changes.
-const MODE_RSEQ: u32 = 1;
-/// Slot mode: all slot operations go through the per-slot mutex.
-const MODE_LOCKS: u32 = 2;
 
-/// Which per-CPU protocol a [`FastCache`] runs.
+/// Which per-CPU protocol a [`FastCache`] runs. The discriminants are the
+/// engine's slot mode (the rseq sections commit only in mode 1) and its
+/// wire code in trace payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Restartable-sequence commit points (Linux, x86-64, glibc ≥ 2.35).
-    Rseq,
+    Rseq = 1,
     /// Portable slot-lock emulation.
-    Locks,
+    Locks = 2,
 }
 
 impl Engine {
@@ -76,13 +79,6 @@ impl Engine {
             Engine::Locks => "locks",
         }
     }
-
-    fn mode(self) -> u32 {
-        match self {
-            Engine::Rseq => MODE_RSEQ,
-            Engine::Locks => MODE_LOCKS,
-        }
-    }
 }
 
 impl std::fmt::Display for Engine {
@@ -91,105 +87,48 @@ impl std::fmt::Display for Engine {
     }
 }
 
-const ENGINE_UNDECIDED: u8 = 0;
-const ENGINE_RSEQ: u8 = 1;
-const ENGINE_LOCKS: u8 = 2;
-
-/// Process-wide default engine, decided once on first use (the same
-/// decide-once pattern as the RCU membarrier strategy).
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(ENGINE_UNDECIDED);
-
-/// The engine new [`FastCache`]s start on: `PBS_FASTPATH` if set
-/// (`rseq`/`locks`), otherwise `rseq` when the kernel supports both
-/// restartable sequences and the rseq membarrier fence, else `locks`.
+/// The engine new [`FastCache`]s start on, decided once per process (the
+/// same decide-once pattern as the RCU membarrier strategy):
+/// `PBS_FASTPATH=locks` forces the emulation; otherwise (`rseq`, empty or
+/// unset) `rseq` when the kernel supports both restartable sequences and
+/// the rseq membarrier fence, else `locks`.
 pub fn default_engine() -> Engine {
-    match DEFAULT_ENGINE.load(Ordering::Acquire) {
-        ENGINE_RSEQ => Engine::Rseq,
-        ENGINE_LOCKS => Engine::Locks,
-        _ => decide_default(),
-    }
-}
-
-#[cold]
-fn decide_default() -> Engine {
-    let want = match std::env::var("PBS_FASTPATH").as_deref() {
+    static DEFAULT: OnceLock<Engine> = OnceLock::new();
+    *DEFAULT.get_or_init(|| match std::env::var("PBS_FASTPATH").as_deref() {
         Ok("locks") => Engine::Locks,
         // An explicit `rseq` request still degrades gracefully on
         // platforms without it: the emulation engine is the honest
         // answer, not a panic.
-        Ok("rseq") | Ok(_) | Err(_) => {
-            if rseq::supported() {
-                Engine::Rseq
-            } else {
-                Engine::Locks
-            }
+        Ok("rseq") | Ok("") | Err(_) => supported_or_locks(Engine::Rseq),
+        Ok(other) => {
+            eprintln!("PBS_FASTPATH={other}: expected `rseq` or `locks`; using the default");
+            supported_or_locks(Engine::Rseq)
         }
-    };
-    let code = match want {
-        Engine::Rseq => ENGINE_RSEQ,
-        Engine::Locks => ENGINE_LOCKS,
-    };
-    match DEFAULT_ENGINE.compare_exchange(
-        ENGINE_UNDECIDED,
-        code,
-        Ordering::AcqRel,
-        Ordering::Acquire,
-    ) {
-        Ok(_) => want,
-        Err(prev) if prev == ENGINE_RSEQ => Engine::Rseq,
-        Err(_) => Engine::Locks,
+    })
+}
+
+fn supported_or_locks(engine: Engine) -> Engine {
+    if engine == Engine::Rseq && !rseq::supported() {
+        Engine::Locks
+    } else {
+        engine
     }
 }
 
-/// Forces the process default to the lock engine. Returns `false` if the
-/// default was already decided as rseq (too late to force). Used by test
-/// binaries that must cover the portable path deterministically.
-pub fn force_locks_engine() -> bool {
-    match DEFAULT_ENGINE.compare_exchange(
-        ENGINE_UNDECIDED,
-        ENGINE_LOCKS,
-        Ordering::AcqRel,
-        Ordering::Acquire,
-    ) {
-        Ok(_) => true,
-        Err(prev) => prev == ENGINE_LOCKS,
-    }
-}
-
-/// Whether the rseq engine can run in this process (registered rseq area
-/// plus the `PRIVATE_EXPEDITED_RSEQ` membarrier fence).
-pub fn rseq_available() -> bool {
-    rseq::supported()
-}
-
-/// Whether `PBS_FASTPATH=off` disabled the fast path for this process.
-/// Allocators consult this at construction so an `off` run measures the
-/// regular per-CPU paths alone (the pre-fast-path baseline).
+/// Always `false`: every cache has a fast path, because the per-CPU
+/// stack is the allocators' only object cache. Kept so provenance
+/// writers built against the old `PBS_FASTPATH=off` switch still build
+/// and report the engine.
 pub fn env_disabled() -> bool {
-    static DISABLED: AtomicU8 = AtomicU8::new(0);
-    match DISABLED.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            let off = matches!(std::env::var("PBS_FASTPATH").as_deref(), Ok("off"));
-            DISABLED.store(if off { 2 } else { 1 }, Ordering::Relaxed);
-            off
-        }
-    }
+    false
 }
 
 /// Number of per-CPU slots a [`FastCache`] allocates: one per *possible*
 /// CPU id, so an rseq-reported cpu number always indexes its own slot
 /// (any sharing would break the per-CPU mutual-exclusion argument).
 pub fn nslots() -> usize {
-    static NSLOTS: AtomicUsize = AtomicUsize::new(0);
-    let cached = NSLOTS.load(Ordering::Relaxed);
-    if cached != 0 {
-        return cached;
-    }
-    let n = possible_cpus();
-    NSLOTS.store(n, Ordering::Relaxed);
-    n
+    static NSLOTS: OnceLock<usize> = OnceLock::new();
+    *NSLOTS.get_or_init(possible_cpus)
 }
 
 fn possible_cpus() -> usize {
@@ -221,20 +160,23 @@ struct SlotHdr {
     current: AtomicU64,
     /// Capacity of `items` (read-only after construction).
     cap: u64,
-    /// `MODE_*`: which protocol may currently touch this slot. The rseq
+    /// Which protocol may currently touch this slot. The rseq
     /// critical section re-checks it inside the commit window, so
     /// parking the slot in `MODE_OFF` plus one rseq fence is sufficient
     /// to stop all fast-path commits.
     mode: AtomicU32,
     _pad: u32,
-    /// The object stack; heap buffer owned by the slot (freed in Drop).
+    /// The object stack: the buffer of the slot's `buf`.
     items: *mut usize,
 }
 
 struct Slot {
     hdr: SlotHdr,
-    /// Taken by the lock engine's hit path, and by drains/mode switches
-    /// under either engine.
+    /// Owns the buffer `hdr.items` points into; only ever accessed
+    /// through that pointer.
+    _buf: Vec<usize>,
+    /// Taken by every lock-engine operation, and by drains under either
+    /// engine.
     lock: Mutex<()>,
     /// Lock-engine counters, bumped with plain load+store while the slot
     /// lock is held (the repo's `Counter::bump` discipline): the hit
@@ -252,24 +194,24 @@ impl Slot {
     fn bump(counter: &AtomicU64) {
         counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
-}
 
-// SAFETY: `items` is an owned heap buffer; all access is serialized by
-// the slot protocol (rseq per-CPU exclusivity or the slot mutex).
-unsafe impl Send for Slot {}
-unsafe impl Sync for Slot {}
+    /// Objects parked in the slot (racy outside the protocol).
+    #[inline]
+    fn depth(&self) -> usize {
+        self.hdr.current.load(Ordering::Relaxed) as usize
+    }
 
-impl Slot {
-    fn new(cap: usize) -> Self {
-        let items = Box::leak(vec![0usize; cap].into_boxed_slice()).as_mut_ptr();
+    fn new(cap: usize, mode: u32) -> Self {
+        let mut buf = vec![0usize; cap];
         Slot {
             hdr: SlotHdr {
                 current: AtomicU64::new(0),
                 cap: cap as u64,
-                mode: AtomicU32::new(MODE_OFF),
+                mode: AtomicU32::new(mode),
                 _pad: 0,
-                items,
+                items: buf.as_mut_ptr(),
             },
+            _buf: buf,
             lock: Mutex::new(()),
             alloc_hits: AtomicU64::new(0),
             free_hits: AtomicU64::new(0),
@@ -278,18 +220,11 @@ impl Slot {
     }
 }
 
-impl Drop for Slot {
-    fn drop(&mut self) {
-        // SAFETY: `items` was leaked from a Box<[usize]> of exactly
-        // `cap` elements in `new` and never freed elsewhere.
-        unsafe {
-            drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
-                self.hdr.items,
-                self.hdr.cap as usize,
-            )));
-        }
-    }
-}
+// SAFETY: `items` points into the slot's own buffer; all access is
+// serialized by the slot protocol (rseq per-CPU exclusivity or the slot
+// mutex).
+unsafe impl Send for Slot {}
+unsafe impl Sync for Slot {}
 
 /// Outcome of a fast-path pop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,8 +233,9 @@ pub enum FastPop {
     Hit(usize),
     /// The slot was empty — refill via the slow path.
     Empty,
-    /// The fast path is unavailable (disabled, mode switch in flight,
-    /// slot contended, restart budget exhausted); use the slow path.
+    /// The rseq fast path is unavailable (drain in flight, unregistered
+    /// thread, restart budget exhausted); use the slow path. The lock
+    /// engine never bypasses.
     Bypass,
 }
 
@@ -310,7 +246,7 @@ pub enum FastPush {
     Pushed,
     /// The slot is full — flush via the slow path.
     Full,
-    /// The fast path is unavailable; use the slow path.
+    /// The rseq fast path is unavailable; use the slow path.
     Bypass,
 }
 
@@ -329,92 +265,88 @@ pub struct FastPathSnapshot {
     pub fallbacks: u64,
 }
 
-/// How many aborted attempts a single operation tolerates before giving
-/// the slow path a turn; under heavy preemption the slot lock is the
-/// better protocol anyway.
-const RESTART_BUDGET: u64 = 64;
+/// Spin budget on a busy slot before trying neighbours: slot critical
+/// sections are short, so a handful of `spin_loop` hints usually outlasts
+/// the holder without burning a timeslice.
+const SLOT_SPIN: usize = 24;
+
+/// The contended half of a per-CPU slot lock, shared by the lock engine
+/// and the allocators' policy slots: spin briefly on the busy `home`
+/// slot, then take any free one of the `n` slots, else block on `home`.
+/// `try_lock(i)` and `lock(i)` acquire slot `i`; returns the index
+/// acquired with its guard.
+#[cold]
+pub fn steal_slot<G>(
+    n: usize,
+    home: usize,
+    try_lock: impl Fn(usize) -> Option<G>,
+    lock: impl FnOnce(usize) -> G,
+) -> (usize, G) {
+    for _ in 0..SLOT_SPIN {
+        std::hint::spin_loop();
+        if let Some(guard) = try_lock(home) {
+            return (home, guard);
+        }
+    }
+    for offset in 1..n {
+        let idx = (home + offset) % n;
+        if let Some(guard) = try_lock(idx) {
+            return (idx, guard);
+        }
+    }
+    (home, lock(home))
+}
 
 static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A per-CPU stack of object addresses with commit-point push/pop.
 ///
-/// Values are plain `usize`s (object addresses); 0, 1 and 2 are reserved
-/// as protocol return codes and must never be pushed — no valid heap
-/// address collides with them.
+/// Values are plain `usize`s (object addresses); values up to 3 are never
+/// valid heap addresses and must not be pushed.
 pub struct FastCache {
     id: u64,
-    /// Routing hint only: the slot `mode` words are authoritative. A
-    /// stale read here costs one bounced attempt, never a wrong commit.
-    engine: AtomicU8,
-    enabled: AtomicBool,
-    /// Capacity-zero caches are permanently off and skip all counting.
-    off: bool,
+    engine: Engine,
+    cap: usize,
     slots: Box<[Slot]>,
     sink: Arc<tls::Sinks>,
 }
 
-impl std::fmt::Debug for FastCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FastCache")
-            .field("engine", &self.engine())
-            .field("enabled", &self.is_enabled())
-            .field("slots", &self.slots.len())
-            .finish()
-    }
-}
-
 impl FastCache {
-    /// A cache with one `cap`-element slot per possible CPU, enabled on
-    /// the process default engine. `cap == 0` builds a permanently-off
-    /// cache (every operation bypasses, nothing is counted).
+    /// A cache with one `cap`-element slot per possible CPU on the
+    /// process default engine.
     pub fn new(cap: usize) -> Self {
-        Self::with_slots(cap, 0)
+        Self::with_slots(cap, 0, default_engine())
     }
 
-    /// Like [`new`](Self::new), but with at least `min_slots` slots.
+    /// A cache on `engine` (degraded to [`Engine::Locks`] where rseq is
+    /// unavailable) with at least `min_slots` slots.
     ///
     /// The rseq engine indexes slots by cpu id and never reaches past
     /// [`nslots`]; the extra slots serve the lock engine, whose threads
     /// round-robin over all of them. An allocator sized for `n` CPU
     /// slots passes `n` here so the emulation engine spreads load the
-    /// same way its regular per-CPU caches do, instead of funnelling
+    /// same way its per-CPU policy state does, instead of funnelling
     /// every thread through the few slots a small machine would get.
-    pub fn with_slots(cap: usize, min_slots: usize) -> Self {
-        let n = if cap == 0 {
-            1
-        } else {
-            nslots().max(min_slots.min(4096))
-        };
-        let slots: Box<[Slot]> = (0..n).map(|_| Slot::new(cap)).collect();
-        let cache = FastCache {
+    pub fn with_slots(cap: usize, min_slots: usize, engine: Engine) -> Self {
+        let engine = supported_or_locks(engine);
+        let n = nslots().max(min_slots.min(4096));
+        FastCache {
             id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
-            engine: AtomicU8::new(default_engine().mode() as u8),
-            enabled: AtomicBool::new(cap > 0),
-            off: cap == 0,
-            slots,
+            engine,
+            cap,
+            slots: (0..n).map(|_| Slot::new(cap, engine as u32)).collect(),
             sink: Arc::new(tls::Sinks::default()),
-        };
-        if cap > 0 {
-            let mode = cache.engine().mode();
-            for slot in cache.slots.iter() {
-                slot.hdr.mode.store(mode, Ordering::Release);
-            }
         }
-        cache
     }
 
-    /// The engine this cache currently routes to.
+    /// The engine this cache runs.
     pub fn engine(&self) -> Engine {
-        if self.engine.load(Ordering::Relaxed) == ENGINE_RSEQ {
-            Engine::Rseq
-        } else {
-            Engine::Locks
-        }
+        self.engine
     }
 
-    /// Whether the fast path is currently accepting operations.
-    pub fn is_enabled(&self) -> bool {
-        !self.off && self.enabled.load(Ordering::Relaxed)
+    /// Objects each slot holds at most.
+    pub fn capacity(&self) -> usize {
+        self.cap
     }
 
     /// Pops an object address from the current CPU's slot.
@@ -422,284 +354,228 @@ impl FastCache {
     // a measurable share of the emulation engine's per-op budget.
     #[inline]
     pub fn pop(&self) -> FastPop {
-        if self.off || !self.enabled.load(Ordering::Relaxed) {
-            if !self.off {
-                self.count(0, 0, 0, 1);
-            }
-            return FastPop::Bypass;
-        }
-        match self.engine() {
-            Engine::Rseq => self.pop_rseq(),
-            Engine::Locks => self.pop_locks(),
-        }
-    }
-
-    /// Pushes an object address onto the current CPU's slot.
-    ///
-    /// `obj` must be a real object address (> 2; the low values are
-    /// protocol codes).
-    #[inline]
-    pub fn push(&self, obj: usize) -> FastPush {
-        debug_assert!(obj > 2, "low values are reserved protocol codes");
-        if self.off || !self.enabled.load(Ordering::Relaxed) {
-            if !self.off {
-                self.count(0, 0, 0, 1);
-            }
-            return FastPush::Bypass;
-        }
-        match self.engine() {
-            Engine::Rseq => self.push_rseq(obj),
-            Engine::Locks => self.push_locks(obj),
-        }
-    }
-
-    #[cfg(all(pbs_rseq, not(miri)))]
-    fn pop_rseq(&self) -> FastPop {
-        let area = rseq::area();
-        let mut restarts = 0u64;
-        loop {
-            let cpu = rseq::current_cpu(area) as usize;
-            let Some(slot) = self.slots.get(cpu) else {
-                // Unregistered thread (cpu_id = -1) or a cpu beyond the
-                // possible range we sized for: never fast-path it.
-                self.count(0, 0, restarts, 1);
-                return FastPop::Bypass;
+        #[cfg(all(pbs_rseq, not(miri)))]
+        if self.engine == Engine::Rseq {
+            let mut obj = 0usize;
+            let dst: *mut usize = &mut obj;
+            // SAFETY: `rseq_op` hands the section this thread's area and
+            // the slot whose index is the cpu it validates; `dst` is
+            // writable for one value.
+            let (code, restarts) =
+                self.rseq_op(|a, cpu, hdr| unsafe { rseq::pop_many(a, cpu, hdr, dst, 1) });
+            let (hit, outcome) = match code {
+                RSEQ_MOVED => (0, FastPop::Empty),
+                RSEQ_BYPASS => (0, FastPop::Bypass),
+                _ => (1, FastPop::Hit(obj)),
             };
-            // SAFETY: slot layout matches the asm contract; `cpu` is the
-            // id the critical section re-validates before committing.
-            match unsafe { rseq::pop(area, cpu as u32, &slot.hdr) } {
-                0 => {
-                    self.count(0, 0, restarts, 1);
-                    return FastPop::Empty;
-                }
-                1 => {
-                    restarts += 1;
-                    if restarts >= RESTART_BUDGET {
-                        self.count(0, 0, restarts, 1);
-                        return FastPop::Bypass;
-                    }
-                }
-                2 => {
-                    self.count(0, 0, restarts, 1);
-                    return FastPop::Bypass;
-                }
-                obj => {
-                    self.count(1, 0, restarts, 0);
-                    return FastPop::Hit(obj);
-                }
-            }
+            self.count(hit, 0, restarts, 1 - hit);
+            return outcome;
         }
-    }
-
-    #[cfg(all(pbs_rseq, not(miri)))]
-    fn push_rseq(&self, obj: usize) -> FastPush {
-        let area = rseq::area();
-        let mut restarts = 0u64;
-        loop {
-            let cpu = rseq::current_cpu(area) as usize;
-            let Some(slot) = self.slots.get(cpu) else {
-                self.count(0, 0, restarts, 1);
-                return FastPush::Bypass;
-            };
-            // SAFETY: as in `pop_rseq`.
-            match unsafe { rseq::push(area, cpu as u32, &slot.hdr, obj) } {
-                0 => {
-                    self.count(0, 1, restarts, 0);
-                    return FastPush::Pushed;
-                }
-                1 => {
-                    restarts += 1;
-                    if restarts >= RESTART_BUDGET {
-                        self.count(0, 0, restarts, 1);
-                        return FastPush::Bypass;
-                    }
-                }
-                2 => {
-                    self.count(0, 0, restarts, 1);
-                    return FastPush::Bypass;
-                }
-                3 => {
-                    self.count(0, 0, restarts, 1);
-                    return FastPush::Full;
-                }
-                other => unreachable!("rseq push returned {other}"),
-            }
-        }
-    }
-
-    // Without rseq support the engine hint can never be Rseq (decide()
-    // and set_engine() refuse it), but keep the router total.
-    #[cfg(not(all(pbs_rseq, not(miri))))]
-    fn pop_rseq(&self) -> FastPop {
-        self.pop_locks()
-    }
-
-    #[cfg(not(all(pbs_rseq, not(miri))))]
-    fn push_rseq(&self, obj: usize) -> FastPush {
-        self.push_locks(obj)
-    }
-
-    fn pop_locks(&self) -> FastPop {
-        let slot = &self.slots[tls::lock_slot_index(self.slots.len())];
-        let Some(_guard) = slot.lock.try_lock() else {
-            // Not under the lock: the shared sink takes this rare bounce.
-            self.count(0, 0, 0, 1);
-            return FastPop::Bypass;
-        };
-        if slot.hdr.mode.load(Ordering::Relaxed) != MODE_LOCKS {
-            Slot::bump(&slot.fallbacks);
-            return FastPop::Bypass;
-        }
-        let cur = slot.hdr.current.load(Ordering::Relaxed);
+        let (slot, _guard) = self.lock_slot();
+        let cur = slot.depth();
         if cur == 0 {
             Slot::bump(&slot.fallbacks);
             return FastPop::Empty;
         }
-        // SAFETY: mode is LOCKS and the mutex is held — exclusive slot
-        // access; index is within `cap` by the push-side bound check.
-        let obj = unsafe { *slot.hdr.items.add(cur as usize - 1) };
-        slot.hdr.current.store(cur - 1, Ordering::Relaxed);
+        // SAFETY: the slot mutex is held — exclusive slot access; the
+        // index is within `cap` by the push-side bound check.
+        let obj = unsafe { *slot.hdr.items.add(cur - 1) };
+        slot.hdr.current.store(cur as u64 - 1, Ordering::Relaxed);
         Slot::bump(&slot.alloc_hits);
         FastPop::Hit(obj)
     }
 
-    fn push_locks(&self, obj: usize) -> FastPush {
-        let slot = &self.slots[tls::lock_slot_index(self.slots.len())];
-        let Some(_guard) = slot.lock.try_lock() else {
-            self.count(0, 0, 0, 1);
-            return FastPush::Bypass;
-        };
-        if slot.hdr.mode.load(Ordering::Relaxed) != MODE_LOCKS {
-            Slot::bump(&slot.fallbacks);
-            return FastPush::Bypass;
+    /// Pushes an object address onto the current CPU's slot.
+    ///
+    /// `obj` must be a real object address (> 3; the low values are
+    /// protocol codes).
+    #[inline]
+    pub fn push(&self, obj: usize) -> FastPush {
+        debug_assert!(obj > 3, "low values are reserved protocol codes");
+        #[cfg(all(pbs_rseq, not(miri)))]
+        if self.engine == Engine::Rseq {
+            let src: *const usize = &obj;
+            // SAFETY: as in `pop`; `src` holds one object.
+            let (code, restarts) =
+                self.rseq_op(|a, cpu, hdr| unsafe { rseq::push_many(a, cpu, hdr, src, 1) });
+            let (hit, outcome) = match code {
+                RSEQ_BYPASS => (0, FastPush::Bypass),
+                RSEQ_MOVED => (0, FastPush::Full),
+                _ => (1, FastPush::Pushed),
+            };
+            self.count(0, hit, restarts, 1 - hit);
+            return outcome;
         }
-        let cur = slot.hdr.current.load(Ordering::Relaxed);
-        if cur >= slot.hdr.cap {
+        let (slot, _guard) = self.lock_slot();
+        let cur = slot.depth();
+        if cur >= self.cap {
             Slot::bump(&slot.fallbacks);
             return FastPush::Full;
         }
-        // SAFETY: as in `pop_locks`.
-        unsafe { *slot.hdr.items.add(cur as usize) = obj };
-        slot.hdr.current.store(cur + 1, Ordering::Relaxed);
+        // SAFETY: as in `pop`.
+        unsafe { *slot.hdr.items.add(cur) = obj };
+        slot.hdr.current.store(cur as u64 + 1, Ordering::Relaxed);
         Slot::bump(&slot.free_hits);
         FastPush::Pushed
     }
 
-    /// Parks every slot in `MODE_OFF` (all slot locks held by the
-    /// caller via `guards`), fencing out any in-flight rseq critical
-    /// section, and returns the previous per-slot modes.
-    fn park_slots(&self) -> bool {
+    /// Pushes a prefix of `objs` onto the current CPU's slot, stopping at
+    /// the first object that does not fit (full slot or rseq bypass), and
+    /// returns its length. The caller still owns `objs[returned..]`.
+    /// Not counted as hits: refills and merges fill the stack this way.
+    pub fn push_batch<T: Copy + Into<usize>>(&self, objs: &[T]) -> usize {
+        #[cfg(all(pbs_rseq, not(miri)))]
+        if self.engine == Engine::Rseq {
+            let mut total_restarts = 0;
+            let mut pushed = 0;
+            let mut buf = [0usize; 64];
+            for chunk in objs.chunks(buf.len()) {
+                for (b, &obj) in buf.iter_mut().zip(chunk) {
+                    *b = obj.into();
+                    debug_assert!(*b > 3, "low values are reserved protocol codes");
+                }
+                let src = buf.as_ptr();
+                // SAFETY: as in `pop`; `buf` holds `chunk.len()` objects.
+                let (code, restarts) = self.rseq_op(|a, cpu, hdr| unsafe {
+                    rseq::push_many(a, cpu, hdr, src, chunk.len())
+                });
+                total_restarts += restarts;
+                let moved = code.saturating_sub(RSEQ_MOVED);
+                pushed += moved;
+                if moved < chunk.len() {
+                    break;
+                }
+            }
+            self.count(0, 0, total_restarts, 0);
+            return pushed;
+        }
+        let (slot, _guard) = self.lock_slot();
+        let cur = slot.depth();
+        let n = objs.len().min(self.cap - cur);
+        for (i, &obj) in objs[..n].iter().enumerate() {
+            // SAFETY: lock held; `cur + i < cap`.
+            unsafe { *slot.hdr.items.add(cur + i) = obj.into() };
+        }
+        slot.hdr.current.store((cur + n) as u64, Ordering::Relaxed);
+        n
+    }
+
+    /// Pops objects off the current CPU's slot until it holds at most
+    /// `keep`, appending them to `out`. Not counted as hits: this is a
+    /// flush.
+    pub fn trim(&self, keep: usize, out: &mut Vec<usize>) {
+        #[cfg(all(pbs_rseq, not(miri)))]
+        if self.engine == Engine::Rseq {
+            let n = self.depth().saturating_sub(keep);
+            out.reserve(n);
+            let len = out.len();
+            // SAFETY: `out` has room for `n` more values.
+            let dst = unsafe { out.as_mut_ptr().add(len) };
+            // SAFETY: as in `pop`.
+            let (code, restarts) =
+                self.rseq_op(|a, cpu, hdr| unsafe { rseq::pop_many(a, cpu, hdr, dst, n) });
+            // SAFETY: the committed section wrote this many objects.
+            unsafe { out.set_len(len + code.saturating_sub(RSEQ_MOVED)) };
+            self.count(0, 0, restarts, 0);
+            return;
+        }
+        let (slot, _guard) = self.lock_slot();
+        let cur = slot.depth();
+        let keep = keep.min(cur);
+        // SAFETY: lock held; every index below `cur` holds an object.
+        out.extend((keep..cur).rev().map(|i| unsafe { *slot.hdr.items.add(i) }));
+        slot.hdr.current.store(keep as u64, Ordering::Relaxed);
+    }
+
+    /// Objects parked in the current CPU's slot (a racy hint for batch
+    /// sizing). A thread the rseq engine cannot serve reads a full slot,
+    /// so it sizes batches for no room.
+    pub fn depth(&self) -> usize {
+        #[cfg(all(pbs_rseq, not(miri)))]
+        if self.engine == Engine::Rseq {
+            let cpu = rseq::current_cpu(rseq::area()) as usize;
+            return self.slots.get(cpu).map_or(self.cap, Slot::depth);
+        }
+        self.slots[tls::lock_slot_index(self.slots.len())].depth()
+    }
+
+    /// Objects parked across all slots (a racy sum).
+    pub fn cached(&self) -> usize {
+        self.slots.iter().map(Slot::depth).sum()
+    }
+
+    /// Runs one rseq critical section on the current CPU's slot,
+    /// retrying restarts up to [`rseq::RESTART_BUDGET`]. Returns the
+    /// section's code ([`RSEQ_BYPASS`] once the budget is spent, or for a
+    /// thread whose cpu has no slot) and the restarts taken.
+    #[cfg(all(pbs_rseq, not(miri)))]
+    #[inline]
+    fn rseq_op(&self, op: impl Fn(*mut u8, u32, &SlotHdr) -> usize) -> (usize, u64) {
+        let area = rseq::area();
+        let mut restarts = 0u64;
+        loop {
+            let cpu = rseq::current_cpu(area) as usize;
+            // Unregistered thread (cpu_id = -1) or a cpu beyond the
+            // possible range we sized for: never fast-path it.
+            let Some(slot) = self.slots.get(cpu) else {
+                return (RSEQ_BYPASS, restarts);
+            };
+            match op(area, cpu as u32, &slot.hdr) {
+                RSEQ_RESTART => {
+                    restarts += 1;
+                    if restarts >= rseq::RESTART_BUDGET {
+                        return (RSEQ_BYPASS, restarts);
+                    }
+                }
+                code => return (code, restarts),
+            }
+        }
+    }
+
+    /// Locks this thread's lock-engine slot, or per [`steal_slot`] a
+    /// neighbour. A contended operation waits or steals; it never
+    /// bounces to the caller's slow path.
+    #[inline]
+    fn lock_slot(&self) -> (&Slot, MutexGuard<'_, ()>) {
+        let home = tls::lock_slot_index(self.slots.len());
+        let (idx, guard) = match self.slots[home].lock.try_lock() {
+            Some(guard) => (home, guard),
+            None => steal_slot(
+                self.slots.len(),
+                home,
+                |i| self.slots[i].lock.try_lock(),
+                |i| self.slots[i].lock.lock(),
+            ),
+        };
+        (&self.slots[idx], guard)
+    }
+
+    /// Removes and returns every parked object. Safe against concurrent
+    /// traffic: the drain holds every slot lock with the slots parked, so
+    /// concurrent rseq operations bounce to the slow path and lock-engine
+    /// operations wait; afterwards the stacks refill organically.
+    pub fn drain(&self) -> Vec<usize> {
+        let guards: Vec<_> = self.slots.iter().map(|s| s.lock.lock()).collect();
         let mut was_rseq = false;
         for slot in self.slots.iter() {
-            was_rseq |= slot.hdr.mode.swap(MODE_OFF, Ordering::SeqCst) == MODE_RSEQ;
+            was_rseq |= slot.hdr.mode.swap(MODE_OFF, Ordering::SeqCst) == Engine::Rseq as u32;
         }
         if was_rseq {
             // One process-wide fence aborts every critical section that
-            // read `MODE_RSEQ` before the swap; afterwards no fast-path
+            // read the rseq mode before the swap; afterwards no fast-path
             // commit can land on any slot.
             rseq::fence();
         }
         std::sync::atomic::fence(Ordering::SeqCst);
-        was_rseq
-    }
-
-    /// Takes the objects currently parked in a slot. Caller must hold
-    /// the slot lock with the slot in `MODE_OFF` after [`park_slots`].
-    fn take_slot(&self, slot: &Slot, out: &mut Vec<usize>) {
-        let n = slot.hdr.current.load(Ordering::Relaxed) as usize;
-        for i in 0..n {
-            // SAFETY: slot parked and lock held — no concurrent writer.
-            out.push(unsafe { *slot.hdr.items.add(i) });
-        }
-        slot.hdr.current.store(0, Ordering::Relaxed);
-    }
-
-    /// Removes and returns every parked object, leaving the cache
-    /// enabled. Safe against concurrent hit-path traffic: concurrent
-    /// operations bounce to the slow path while the drain holds the
-    /// slots parked.
-    pub fn drain(&self) -> Vec<usize> {
-        if self.off {
-            return Vec::new();
-        }
-        let guards: Vec<_> = self.slots.iter().map(|s| s.lock.lock()).collect();
-        self.park_slots();
         let mut out = Vec::new();
         for slot in self.slots.iter() {
-            self.take_slot(slot, &mut out);
-        }
-        if self.enabled.load(Ordering::Relaxed) {
-            let mode = self.engine().mode();
-            for slot in self.slots.iter() {
-                slot.hdr.mode.store(mode, Ordering::SeqCst);
-            }
+            // SAFETY: slot parked and lock held — no concurrent writer.
+            out.extend((0..slot.depth()).map(|i| unsafe { *slot.hdr.items.add(i) }));
+            slot.hdr.current.store(0, Ordering::Relaxed);
+            slot.hdr.mode.store(self.engine as u32, Ordering::SeqCst);
         }
         drop(guards);
         out
-    }
-
-    /// Enables or disables the fast path. Disabling drains and returns
-    /// every parked object (the caller must hand them back to its slow
-    /// path, keeping the switchover leak-free); enabling returns an
-    /// empty vec.
-    pub fn set_enabled(&self, on: bool) -> Vec<usize> {
-        if self.off {
-            return Vec::new();
-        }
-        let guards: Vec<_> = self.slots.iter().map(|s| s.lock.lock()).collect();
-        self.enabled.store(on, Ordering::Relaxed);
-        self.park_slots();
-        let mut out = Vec::new();
-        if on {
-            let mode = self.engine().mode();
-            for slot in self.slots.iter() {
-                slot.hdr.mode.store(mode, Ordering::SeqCst);
-            }
-        } else {
-            for slot in self.slots.iter() {
-                self.take_slot(slot, &mut out);
-            }
-        }
-        drop(guards);
-        out
-    }
-
-    /// Switches the engine live, preserving parked objects. Requests
-    /// for [`Engine::Rseq`] degrade to [`Engine::Locks`] when rseq is
-    /// unavailable; returns the engine actually installed.
-    pub fn set_engine(&self, engine: Engine) -> Engine {
-        let engine = if engine == Engine::Rseq && !rseq::supported() {
-            Engine::Locks
-        } else {
-            engine
-        };
-        if self.off {
-            return engine;
-        }
-        let guards: Vec<_> = self.slots.iter().map(|s| s.lock.lock()).collect();
-        self.engine.store(
-            match engine {
-                Engine::Rseq => ENGINE_RSEQ,
-                Engine::Locks => ENGINE_LOCKS,
-            },
-            Ordering::Relaxed,
-        );
-        self.park_slots();
-        if self.enabled.load(Ordering::Relaxed) {
-            for slot in self.slots.iter() {
-                slot.hdr.mode.store(engine.mode(), Ordering::SeqCst);
-            }
-        }
-        drop(guards);
-        engine
-    }
-
-    /// Approximate number of parked objects (racy snapshot over slots).
-    pub fn cached(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.hdr.current.load(Ordering::Relaxed) as usize)
-            .sum()
     }
 
     /// Totals across all threads: the sink reads through every live
@@ -717,17 +593,14 @@ impl FastCache {
         snap
     }
 
+    #[cfg_attr(not(all(pbs_rseq, not(miri))), allow(dead_code))]
     #[inline]
     fn count(&self, alloc_hits: u64, free_hits: u64, restarts: u64, fallbacks: u64) {
-        tls::bump(self.id, &self.sink, alloc_hits, free_hits, restarts, fallbacks);
-    }
-}
-
-impl Drop for FastCache {
-    fn drop(&mut self) {
-        // Objects still parked here belong to the owning allocator; it
-        // must drain before dropping. Nothing to do for stats: sinks are
-        // Arc-shared and thread-locals flush on their own schedule.
+        if alloc_hits | free_hits | restarts | fallbacks != 0 {
+            tls::bump(
+                self.id, &self.sink, alloc_hits, free_hits, restarts, fallbacks,
+            );
+        }
     }
 }
 
@@ -735,11 +608,21 @@ impl Drop for FastCache {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::sync::atomic::AtomicBool;
 
-    // Object addresses for tests: anything > 2 works; use page-ish
+    // Object addresses for tests: anything > 3 works; use page-ish
     // values so mistakes are obvious.
     fn addr(i: usize) -> usize {
         0x10_000 + i * 8
+    }
+
+    /// The engines a test can construct on this host.
+    fn engines() -> Vec<Engine> {
+        if default_engine() == Engine::Rseq {
+            vec![Engine::Rseq, Engine::Locks]
+        } else {
+            vec![Engine::Locks]
+        }
     }
 
     #[test]
@@ -747,17 +630,7 @@ mod tests {
         assert_eq!(Engine::Rseq.label(), "rseq");
         assert_eq!(Engine::Locks.label(), "locks");
         assert_eq!(Engine::Rseq.to_string(), "rseq");
-    }
-
-    #[test]
-    fn zero_capacity_cache_is_permanently_off() {
-        let c = FastCache::new(0);
-        assert!(!c.is_enabled());
-        assert_eq!(c.pop(), FastPop::Bypass);
-        assert_eq!(c.push(addr(1)), FastPush::Bypass);
-        assert!(c.drain().is_empty());
-        let s = c.snapshot();
-        assert_eq!(s.fallbacks, 0, "off caches must not count");
+        assert!(!env_disabled());
     }
 
     #[test]
@@ -809,39 +682,44 @@ mod tests {
     }
 
     #[test]
-    fn disable_drains_and_bypasses() {
-        let c = FastCache::new(8);
-        assert_eq!(c.push(addr(1)), FastPush::Pushed);
-        assert_eq!(c.push(addr(2)), FastPush::Pushed);
-        let drained = c.set_enabled(false);
-        let mut got: Vec<usize> = drained;
-        got.sort_unstable();
-        assert_eq!(got, vec![addr(1), addr(2)]);
-        assert!(!c.is_enabled());
-        assert_eq!(c.pop(), FastPop::Bypass);
-        assert_eq!(c.push(addr(3)), FastPush::Bypass);
-        assert!(c.set_enabled(true).is_empty());
-        assert_eq!(c.push(addr(3)), FastPush::Pushed);
-        assert_eq!(c.drain(), vec![addr(3)]);
+    fn drain_empties_the_stacks_and_leaves_them_live() {
+        for engine in engines() {
+            let c = FastCache::with_slots(8, 0, engine);
+            assert_eq!(c.engine(), engine);
+            assert_eq!(c.push(addr(1)), FastPush::Pushed);
+            assert_eq!(c.push(addr(2)), FastPush::Pushed);
+            let mut got = c.drain();
+            got.sort_unstable();
+            assert_eq!(got, vec![addr(1), addr(2)], "{engine}");
+            assert_eq!(c.pop(), FastPop::Empty, "{engine}");
+            assert_eq!(c.push(addr(3)), FastPush::Pushed, "{engine}");
+            assert_eq!(c.drain(), vec![addr(3)], "{engine}");
+        }
     }
 
     #[test]
-    fn engine_switch_preserves_parked_objects() {
-        let c = FastCache::new(8);
-        for i in 0..4 {
-            assert_eq!(c.push(addr(i)), FastPush::Pushed);
+    fn batches_fill_to_capacity_and_trim_to_keep() {
+        for engine in engines() {
+            let c = FastCache::with_slots(8, 0, engine);
+            let objs: Vec<usize> = (0..12).map(addr).collect();
+            let pushed = c.push_batch(&objs);
+            // A migration mid-batch can spread the prefix over two
+            // slots; on an unmigrated run exactly the capacity fits.
+            assert!((1..=12).contains(&pushed), "{engine}: pushed {pushed}");
+            let mut flushed = Vec::new();
+            c.trim(3, &mut flushed);
+            assert!(c.depth() <= 8, "{engine}");
+            let mut all = flushed;
+            all.extend(c.drain());
+            all.sort_unstable();
+            assert_eq!(all, objs[..pushed].to_vec(), "{engine}: conservation");
+            let s = c.snapshot();
+            assert_eq!(
+                (s.alloc_hits, s.free_hits),
+                (0, 0),
+                "{engine}: batches count no hits"
+            );
         }
-        let other = match c.engine() {
-            Engine::Rseq => Engine::Locks,
-            Engine::Locks => Engine::Rseq,
-        };
-        let installed = c.set_engine(other);
-        // Crossing to rseq may degrade back to locks off-Linux; either
-        // way the parked objects survive the switch.
-        assert_eq!(c.engine(), installed);
-        let mut got = c.drain();
-        got.sort_unstable();
-        assert_eq!(got, (0..4).map(addr).collect::<Vec<_>>());
     }
 
     /// The emulation engine, exercised concurrently at Miri-friendly
@@ -849,8 +727,7 @@ mod tests {
     /// balanced stats.
     #[test]
     fn locks_engine_conserves_objects_across_threads() {
-        let c = Arc::new(FastCache::new(4));
-        c.set_engine(Engine::Locks);
+        let c = Arc::new(FastCache::with_slots(4, 0, Engine::Locks));
         let threads = if cfg!(miri) { 2 } else { 4 };
         let per = if cfg!(miri) { 16 } else { 4000 };
         let popped: Vec<Vec<usize>> = std::thread::scope(|s| {
@@ -889,75 +766,81 @@ mod tests {
         assert_eq!(s.alloc_hits, s.free_hits - parked_len);
     }
 
-    /// Whatever engine the platform picked: hammer push/pop from many
-    /// threads while the main thread flips enabled/engine, then check
-    /// conservation. This is the live-switchover soundness test.
+    /// Each engine: hammer single and batch push/pop from many threads
+    /// while the main thread drains continuously, then check
+    /// conservation. This is the drain-under-live-traffic soundness test.
     #[test]
     #[cfg_attr(miri, ignore = "timing loop; the locks test covers Miri")]
-    fn engine_flapping_never_loses_objects() {
-        let c = Arc::new(FastCache::new(16));
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut recovered: Vec<usize> = Vec::new();
-        // Each worker reports (addresses it pushed, addresses it popped).
-        let results: Vec<(Vec<usize>, Vec<usize>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|t| {
-                    let c = Arc::clone(&c);
-                    let stop = Arc::clone(&stop);
-                    s.spawn(move || {
-                        let mut got = Vec::new();
-                        let start = t * 100_000;
-                        let mut next = start;
-                        while !stop.load(Ordering::Relaxed) && next < start + 100_000 {
-                            if c.push(addr(next)) == FastPush::Pushed {
-                                next += 1;
+    fn drains_under_traffic_never_lose_objects() {
+        for engine in engines() {
+            let c = Arc::new(FastCache::with_slots(16, 0, engine));
+            let stop = Arc::new(AtomicBool::new(false));
+            let mut recovered: Vec<usize> = Vec::new();
+            // Each worker reports (addresses it pushed, addresses it got
+            // back by pop or trim).
+            let results: Vec<(Vec<usize>, Vec<usize>)> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..4)
+                    .map(|t| {
+                        let c = Arc::clone(&c);
+                        let stop = Arc::clone(&stop);
+                        s.spawn(move || {
+                            let mut got = Vec::new();
+                            // Batches may overshoot the bound by three.
+                            let start = t * 200_000;
+                            let mut next = start;
+                            while !stop.load(Ordering::Relaxed) && next < start + 100_000 {
+                                if next % 7 == 0 {
+                                    let batch: Vec<usize> = (next..next + 4).map(addr).collect();
+                                    next += c.push_batch(&batch);
+                                    c.trim(8, &mut got);
+                                } else if c.push(addr(next)) == FastPush::Pushed {
+                                    next += 1;
+                                }
+                                if let FastPop::Hit(v) = c.pop() {
+                                    got.push(v);
+                                }
                             }
-                            if let FastPop::Hit(v) = c.pop() {
-                                got.push(v);
-                            }
-                        }
-                        ((start..next).map(addr).collect::<Vec<_>>(), got)
+                            ((start..next).map(addr).collect::<Vec<_>>(), got)
+                        })
                     })
-                })
-                .collect();
-            for round in 0..200 {
-                match round % 4 {
-                    0 => drop(c.set_engine(Engine::Locks)),
-                    1 => recovered.extend(c.set_enabled(false)),
-                    2 => drop(c.set_enabled(true)),
-                    _ => drop(c.set_engine(default_engine())),
+                    .collect();
+                for _ in 0..200 {
+                    recovered.extend(c.drain());
+                    std::thread::yield_now();
                 }
-                std::thread::yield_now();
+                stop.store(true, Ordering::Relaxed);
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            // Every address pushed must be accounted for exactly once:
+            // popped or trimmed by some worker, drained mid-run, or still
+            // parked at the end.
+            let mut pushed: HashSet<usize> = HashSet::new();
+            let mut seen: Vec<usize> = recovered;
+            for (p, g) in results {
+                pushed.extend(p);
+                seen.extend(g);
             }
-            stop.store(true, Ordering::Relaxed);
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // Every address pushed must be accounted for exactly once:
-        // popped by some worker, drained by a disable round, or still
-        // parked at the end.
-        let mut pushed: HashSet<usize> = HashSet::new();
-        let mut seen: Vec<usize> = recovered;
-        for (p, g) in results {
-            pushed.extend(p);
-            seen.extend(g);
+            seen.extend(c.drain());
+            let seen_set: HashSet<usize> = seen.iter().copied().collect();
+            assert_eq!(
+                seen_set.len(),
+                seen.len(),
+                "{engine}: an object was double-popped"
+            );
+            assert_eq!(seen_set, pushed, "{engine}: conservation violated");
         }
-        seen.extend(c.drain());
-        let seen_set: HashSet<usize> = seen.iter().copied().collect();
-        assert_eq!(seen_set.len(), seen.len(), "an object was double-popped");
-        assert_eq!(seen_set, pushed, "conservation violated");
     }
 
     #[test]
-    fn snapshot_counts_restarts_and_fallbacks_coherently() {
+    fn snapshot_counts_hits_and_fallbacks_coherently() {
         let c = FastCache::new(4);
+        // One guaranteed fallback: a pop on an empty cache.
+        assert_eq!(c.pop(), FastPop::Empty);
         for i in 0..4 {
             c.push(addr(i));
         }
-        // One guaranteed fallback: disabled push.
-        c.set_enabled(false);
-        assert_eq!(c.push(addr(9)), FastPush::Bypass);
         let s = c.snapshot();
         assert!(s.fallbacks >= 1);
-        assert_eq!(s.free_hits, 4);
+        assert_eq!(s.free_hits + s.fallbacks, 5);
     }
 }

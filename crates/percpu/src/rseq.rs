@@ -1,5 +1,6 @@
 //! The rseq(2) engine: glibc area discovery, the membarrier rseq fence,
-//! and the two assembly critical sections (pop/push commit points).
+//! and the two assembly critical sections (batch pop/push commit points;
+//! single-object operations are batches of one).
 //!
 //! ## Protocol
 //!
@@ -16,14 +17,16 @@
 //! * re-check the slot's mode word (a remote drain parks the slot in
 //!   `MODE_OFF` *before* issuing the fence, so a section that started
 //!   earlier either aborts on the fence or already committed),
-//! * read `current`, read/write the item at `items[current-1]` /
-//!   `items[current]` (a dead slot either way), and
+//! * read `current`, copy the `k` items at `items[current-k..current]`
+//!   out (pop) or into the dead slots `items[current..current+k]` (push),
+//!   and
 //! * commit with one plain store to `current`.
 //!
 //! Aborts restart from scratch; nothing observable happened. The only
-//! stores before the commit are to the dead item slot, which a
-//! concurrent remote drain never reads (it reads `0..current` only) and
-//! a same-CPU successor section overwrites before its own commit.
+//! stores before the commit are to dead item slots, which a concurrent
+//! remote drain never reads (it reads `0..current` only) and a same-CPU
+//! successor section overwrites before its own commit, or to the
+//! caller's buffer, which the caller trusts only after a commit.
 //!
 //! ## Fence
 //!
@@ -41,6 +44,17 @@ mod imp {
     use std::sync::atomic::{AtomicU8, Ordering};
 
     use crate::SlotHdr;
+
+    /// How many aborted attempts a single operation tolerates before
+    /// giving the slow path a turn; under heavy preemption the slot lock
+    /// is the better protocol anyway.
+    pub(crate) const RESTART_BUDGET: u64 = 64;
+
+    /// Section return codes: restart, slot not in rseq mode, or
+    /// `RSEQ_MOVED + k` after committing a move of `k` objects.
+    pub(crate) const RSEQ_RESTART: usize = 1;
+    pub(crate) const RSEQ_BYPASS: usize = 2;
+    pub(crate) const RSEQ_MOVED: usize = 4;
 
     // glibc ≥ 2.35 registers an rseq area for every thread and exports
     // its location relative to the thread pointer (fs base on x86-64).
@@ -136,39 +150,66 @@ mod imp {
     }
 
     extern "C" {
-        fn pbs_percpu_rseq_pop(area: *mut u8, cpu: u32, slot: *const SlotHdr) -> usize;
-        fn pbs_percpu_rseq_push(area: *mut u8, cpu: u32, slot: *const SlotHdr, obj: usize)
-            -> usize;
+        fn pbs_percpu_rseq_push_many(
+            area: *mut u8,
+            cpu: u32,
+            slot: *const SlotHdr,
+            objs: *const usize,
+            n: usize,
+        ) -> usize;
+        fn pbs_percpu_rseq_pop_many(
+            area: *mut u8,
+            cpu: u32,
+            slot: *const SlotHdr,
+            out: *mut usize,
+            n: usize,
+        ) -> usize;
     }
 
-    /// Pop commit point. Returns the object address, or 0 = empty,
-    /// 1 = restart (preempted/migrated/aborted), 2 = slot not in rseq
-    /// mode.
+    /// Push commit point: copies up to `n` objects from `objs` onto the
+    /// slot (as many as fit) and commits once. Returns [`RSEQ_MOVED`] +
+    /// the number pushed, [`RSEQ_RESTART`] (preempted, migrated or
+    /// aborted) or [`RSEQ_BYPASS`] (slot not in rseq mode).
     ///
     /// # Safety
     ///
     /// `area` must be this thread's registered rseq area and `slot` a
-    /// live [`SlotHdr`] whose index equals `cpu`.
+    /// live [`SlotHdr`] whose index equals `cpu`; `objs` must be readable
+    /// for `n` real object addresses.
     #[inline]
-    pub(crate) unsafe fn pop(area: *mut u8, cpu: u32, slot: &SlotHdr) -> usize {
-        pbs_percpu_rseq_pop(area, cpu, slot)
+    pub(crate) unsafe fn push_many(
+        area: *mut u8,
+        cpu: u32,
+        slot: &SlotHdr,
+        objs: *const usize,
+        n: usize,
+    ) -> usize {
+        pbs_percpu_rseq_push_many(area, cpu, slot, objs, n)
     }
 
-    /// Push commit point. Returns 0 = pushed, 1 = restart, 2 = slot not
-    /// in rseq mode, 3 = full.
+    /// Pop commit point: copies up to `n` objects off the top of the slot
+    /// into `out` (bottom first) and commits once. Returns
+    /// [`RSEQ_MOVED`] + the number popped or, as for [`push_many`], a
+    /// restart or bypass code, after which `out` holds garbage.
     ///
     /// # Safety
     ///
-    /// As for [`pop`]; `obj` must be a real object address (> 3).
+    /// As for [`push_many`]; `out` must be writable for `n` values.
     #[inline]
-    pub(crate) unsafe fn push(area: *mut u8, cpu: u32, slot: &SlotHdr, obj: usize) -> usize {
-        pbs_percpu_rseq_push(area, cpu, slot, obj)
+    pub(crate) unsafe fn pop_many(
+        area: *mut u8,
+        cpu: u32,
+        slot: &SlotHdr,
+        out: *mut usize,
+        n: usize,
+    ) -> usize {
+        pbs_percpu_rseq_pop_many(area, cpu, slot, out, n)
     }
 
     // SlotHdr layout contract shared with the assembly below:
     //   +0  current (u64)   — the commit word
     //   +8  cap     (u64)
-    //   +16 mode    (u32)   — must equal 1 (MODE_RSEQ) to commit
+    //   +16 mode    (u32)   — must equal 1 (`Engine::Rseq`) to commit
     //   +24 items   (*mut usize)
     //
     // rseq ABI: area+4 = cpu_id (u32), area+8 = rseq_cs (u64 pointer to
@@ -178,87 +219,42 @@ mod imp {
     std::arch::global_asm!(
         r#"
         .pushsection .text
+        // push_many(area=rdi, cpu=esi, slot=rdx, objs=rcx, n=r8): the
+        // copy writes only dead slots above `current`, so an abort
+        // anywhere before the commit leaves no trace.
         .p2align 4
-        .globl pbs_percpu_rseq_pop
-        .type pbs_percpu_rseq_pop, @function
-    pbs_percpu_rseq_pop:
-        lea rax, [rip + 100f]
-        mov qword ptr [rdi + 8], rax     // arm: area->rseq_cs = descriptor
-    1:                                   // start_ip
-        mov eax, dword ptr [rdi + 4]     // kernel-maintained cpu_id
-        cmp eax, esi
-        jne 4f                           // migrated since the caller looked
-        mov eax, dword ptr [rdx + 16]    // slot mode
-        cmp eax, 1
-        jne 5f                           // parked or lock-owned
-        mov rax, qword ptr [rdx]         // current
-        test rax, rax
-        jz 6f                            // empty
-        sub rax, 1
-        mov r9, qword ptr [rdx + 24]     // items
-        mov r10, qword ptr [r9 + rax*8]  // the object (pre-commit read)
-        mov qword ptr [rdx], rax         // COMMIT: current -= 1
-    2:                                   // post-commit
-        mov qword ptr [rdi + 8], 0
-        mov rax, r10
-        ret
-    4:  mov qword ptr [rdi + 8], 0
-        mov eax, 1
-        ret
-    5:  mov qword ptr [rdi + 8], 0
-        mov eax, 2
-        ret
-    6:  mov qword ptr [rdi + 8], 0
-        xor eax, eax
-        ret
-        .balign 4
-        .long 0x53053053                 // abort signature (glibc RSEQ_SIG)
-    3:                                   // abort_ip: kernel lands here on restart
-        mov qword ptr [rdi + 8], 0
-        mov eax, 1
-        ret
-        .size pbs_percpu_rseq_pop, . - pbs_percpu_rseq_pop
-        .pushsection .data.rel.ro, "aw"
-        .balign 32
-    100:                                 // struct rseq_cs
-        .long 0, 0                       // version, flags
-        .quad 1b                         // start_ip
-        .quad 2b - 1b                    // post_commit_offset
-        .quad 3b                         // abort_ip
-        .popsection
-
-        .p2align 4
-        .globl pbs_percpu_rseq_push
-        .type pbs_percpu_rseq_push, @function
-    pbs_percpu_rseq_push:
+        .globl pbs_percpu_rseq_push_many
+        .type pbs_percpu_rseq_push_many, @function
+    pbs_percpu_rseq_push_many:
         lea rax, [rip + 100f]
         mov qword ptr [rdi + 8], rax
     1:                                   // start_ip
-        mov eax, dword ptr [rdi + 4]
-        cmp eax, esi
-        jne 4f
-        mov eax, dword ptr [rdx + 16]
-        cmp eax, 1
-        jne 5f
-        mov rax, qword ptr [rdx]         // current
-        cmp rax, qword ptr [rdx + 8]     // cap
-        jae 6f                           // full
-        mov r9, qword ptr [rdx + 24]
-        mov qword ptr [r9 + rax*8], rcx  // items[current] = obj (dead slot)
+        cmp dword ptr [rdi + 4], esi     // kernel-maintained cpu_id
+        jne 3f                           // migrated since the caller looked
+        cmp dword ptr [rdx + 16], 1      // slot mode
+        jne 5f                           // parked or lock-owned
+        mov r9, qword ptr [rdx]          // current
+        mov r10, qword ptr [rdx + 8]
+        sub r10, r9                      // room = cap - current
+        cmp r10, r8
+        cmova r10, r8                    // k = min(room, n)
+        mov r11, qword ptr [rdx + 24]
+        lea r11, [r11 + r9*8]            // dst = items + current
+        add r9, r10                      // the commit value
+        xor eax, eax
+    6:  cmp rax, r10
+        jae 7f
+        mov r8, qword ptr [rcx + rax*8]
+        mov qword ptr [r11 + rax*8], r8  // dead slot
         add rax, 1
-        mov qword ptr [rdx], rax         // COMMIT: current += 1
+        jmp 6b
+    7:  mov qword ptr [rdx], r9          // COMMIT: current += k
     2:                                   // post-commit
         mov qword ptr [rdi + 8], 0
-        xor eax, eax
-        ret
-    4:  mov qword ptr [rdi + 8], 0
-        mov eax, 1
+        lea rax, [r10 + 4]
         ret
     5:  mov qword ptr [rdi + 8], 0
         mov eax, 2
-        ret
-    6:  mov qword ptr [rdi + 8], 0
-        mov eax, 3
         ret
         .balign 4
         .long 0x53053053
@@ -266,7 +262,59 @@ mod imp {
         mov qword ptr [rdi + 8], 0
         mov eax, 1
         ret
-        .size pbs_percpu_rseq_push, . - pbs_percpu_rseq_push
+        .size pbs_percpu_rseq_push_many, . - pbs_percpu_rseq_push_many
+        .pushsection .data.rel.ro, "aw"
+        .balign 32
+    100:
+        .long 0, 0
+        .quad 1b
+        .quad 2b - 1b
+        .quad 3b
+        .popsection
+
+        // pop_many(area=rdi, cpu=esi, slot=rdx, out=rcx, n=r8): the copy
+        // only reads the slot and writes the caller's buffer, which the
+        // caller trusts only after a commit.
+        .p2align 4
+        .globl pbs_percpu_rseq_pop_many
+        .type pbs_percpu_rseq_pop_many, @function
+    pbs_percpu_rseq_pop_many:
+        lea rax, [rip + 100f]
+        mov qword ptr [rdi + 8], rax
+    1:                                   // start_ip
+        cmp dword ptr [rdi + 4], esi     // kernel-maintained cpu_id
+        jne 3f                           // migrated since the caller looked
+        cmp dword ptr [rdx + 16], 1      // slot mode
+        jne 5f                           // parked or lock-owned
+        mov r9, qword ptr [rdx]          // current
+        mov r10, r9
+        cmp r10, r8
+        cmova r10, r8                    // k = min(current, n)
+        sub r9, r10                      // the commit value
+        mov r11, qword ptr [rdx + 24]
+        lea r11, [r11 + r9*8]            // src = items + current - k
+        xor eax, eax
+    6:  cmp rax, r10
+        jae 7f
+        mov r8, qword ptr [r11 + rax*8]
+        mov qword ptr [rcx + rax*8], r8
+        add rax, 1
+        jmp 6b
+    7:  mov qword ptr [rdx], r9          // COMMIT: current -= k
+    2:                                   // post-commit
+        mov qword ptr [rdi + 8], 0
+        lea rax, [r10 + 4]
+        ret
+    5:  mov qword ptr [rdi + 8], 0
+        mov eax, 2
+        ret
+        .balign 4
+        .long 0x53053053
+    3:                                   // abort_ip
+        mov qword ptr [rdi + 8], 0
+        mov eax, 1
+        ret
+        .size pbs_percpu_rseq_pop_many, . - pbs_percpu_rseq_pop_many
         .pushsection .data.rel.ro, "aw"
         .balign 32
     100:

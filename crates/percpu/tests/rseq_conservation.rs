@@ -17,11 +17,7 @@ use pbs_percpu::{Engine, FastCache, FastPop, FastPush};
 fn counts_exact_at_scope_join_across_many_caches() {
     for round in 0..40 {
         let caches: Vec<Arc<FastCache>> = (0..6)
-            .map(|_| {
-                let c = Arc::new(FastCache::new(4));
-                c.set_engine(Engine::Rseq);
-                c
-            })
+            .map(|_| Arc::new(FastCache::with_slots(4, 0, Engine::Rseq)))
             .collect();
         std::thread::scope(|s| {
             for _ in 0..4 {
@@ -54,8 +50,8 @@ fn addr(i: usize) -> usize {
 #[test]
 fn rseq_counts_match_physical_traffic() {
     for round in 0..8 {
-        let c = Arc::new(FastCache::new(4));
-        let installed = c.set_engine(Engine::Rseq);
+        let c = Arc::new(FastCache::with_slots(4, 0, Engine::Rseq));
+        let installed = c.engine();
         let threads = 4;
         let per = 4000;
         let popped: Vec<Vec<usize>> = std::thread::scope(|s| {

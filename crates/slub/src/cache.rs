@@ -45,7 +45,7 @@ impl Default for SlubTuning {
 /// See the [crate-level documentation](crate) for the role this type plays
 /// in the reproduction and an example.
 pub struct SlubCache {
-    frame: CacheFrame<Vec<ObjPtr>, RawSlab>,
+    frame: CacheFrame<(), RawSlab>,
     weak_self: Weak<SlubCache>,
 }
 
@@ -133,31 +133,6 @@ impl SlubCache {
         &self.frame.sizing
     }
 
-    /// Flushes the overflowing half of a CPU cache back to slabs.
-    fn flush(&self, cpu_idx: usize, cache: &mut Vec<ObjPtr>) {
-        self.frame.stats.shard(cpu_idx).flushes.bump();
-        let keep = self.frame.sizing.object_cache_size / 2;
-        let excess: Vec<ObjPtr> = cache.drain(..cache.len().saturating_sub(keep)).collect();
-        self.frame.return_to_slabs(self, &excess);
-    }
-
-    /// Ladder rung 1: drain every CPU cache to its slabs — free objects
-    /// parked on other slots become refillable without any grace-period
-    /// wait.
-    fn oom_flush_cpu_caches(&self) {
-        self.frame.flush_fastpath(self);
-        for (cpu_idx, slot) in self.frame.slots().iter().enumerate() {
-            let mut cache = slot.lock();
-            if cache.is_empty() {
-                continue;
-            }
-            self.frame.stats.shard(cpu_idx).flushes.bump();
-            let objs: Vec<ObjPtr> = cache.drain(..).collect();
-            drop(cache);
-            self.frame.return_to_slabs(self, &objs);
-        }
-    }
-
     /// Ladder rungs 2/3: complete a grace period, then give the domain's
     /// reclaimer threads a bounded window to return deferred objects
     /// (unlike Prudence, the baseline cannot merge them itself — they only
@@ -184,11 +159,12 @@ impl SlubCache {
     }
 
     /// Returns a deferred object to this allocator once its grace period
-    /// is over: the moment the baseline makes it reusable. Both return
-    /// routes (direct `call_rcu` and domain delivery) end here.
+    /// is over: the moment the baseline makes it reusable, on the stack of
+    /// the CPU running the return. Both return routes (direct `call_rcu`
+    /// and domain delivery) end here.
     fn release_deferred(&self, obj: ObjPtr) {
         let frame = &self.frame;
-        let (cpu_idx, mut cache) = frame.lock_cpu();
+        let (cpu_idx, mut slot) = frame.lock_cpu();
         // Credit site attribution here so both return routes close the
         // defer stamp. Slot lock held → lane owned.
         pbs_telemetry::site::note_reclaimed(obj.addr());
@@ -200,31 +176,31 @@ impl SlubCache {
             obj.addr() as u64,
             0,
         );
-        self.cache_free(cpu_idx, &mut cache, obj);
+        frame.stash(self, cpu_idx, &mut slot, &[obj]);
     }
 }
 
 impl CachePolicy for SlubCache {
-    type Slot = Vec<ObjPtr>;
+    type Slot = ();
     type Slab = RawSlab;
 
     #[inline]
-    fn frame(&self) -> &CacheFrame<Vec<ObjPtr>, RawSlab> {
+    fn frame(&self) -> &CacheFrame<(), RawSlab> {
         &self.frame
-    }
-
-    #[inline]
-    fn take_cached(&self, cpu_idx: usize, cache: &mut Vec<ObjPtr>) -> Option<ObjPtr> {
-        let obj = cache.pop()?;
-        self.frame.stats.shard(cpu_idx).cache_hits.bump();
-        Some(obj)
     }
 
     /// SLUB refill: take from the first partial slab, then free slabs,
     /// then grow; a partial batch is still usable when pages run out.
-    fn refill(&self, _cpu_idx: usize, cache: &mut Vec<ObjPtr>) -> Result<ObjPtr, AllocError> {
+    fn refill(
+        &self,
+        cpu_idx: usize,
+        _slot: &mut (),
+        want: usize,
+        batch: &mut Vec<ObjPtr>,
+    ) -> Result<(), AllocError> {
+        self.frame.stats.shard(cpu_idx).refills.bump();
         let mut node = self.frame.lock_node();
-        let mut remaining = self.frame.sizing.object_cache_size;
+        let mut remaining = want.min(self.frame.sizing.object_cache_size);
         while remaining > 0 {
             let slab_index = match node
                 .lists
@@ -234,22 +210,14 @@ impl CachePolicy for SlubCache {
                 Some(index) => index,
                 None => match self.frame.grow(&mut node, pbs_fault::site::SLUB_GROW) {
                     Ok(index) => index,
-                    Err(_) if !cache.is_empty() => break,
+                    Err(_) if !batch.is_empty() => break,
                     Err(e) => return Err(e.into()),
                 },
             };
-            remaining -= node.slab_mut(slab_index).take(remaining, cache);
+            remaining -= node.slab_mut(slab_index).take(remaining, batch);
             node.relist(slab_index);
         }
-        cache.pop().ok_or(AllocError::OutOfMemory)
-    }
-
-    #[inline]
-    fn cache_free(&self, cpu_idx: usize, cache: &mut Vec<ObjPtr>, obj: ObjPtr) {
-        cache.push(obj);
-        if cache.len() > self.frame.sizing.object_cache_size {
-            self.flush(cpu_idx, cache);
-        }
+        Ok(())
     }
 
     fn defer(&self, obj: ObjPtr) -> Option<(usize, usize)> {
@@ -260,7 +228,7 @@ impl CachePolicy for SlubCache {
         // a holder's load and store and be silently overwritten. The lock
         // is dropped before the `call_rcu` box allocation below.
         let transition = {
-            let (cpu_idx, _cache) = frame.lock_cpu();
+            let (cpu_idx, _slot) = frame.lock_cpu();
             frame.count_deferred_free(cpu_idx);
             let (outstanding, transition) = frame.defer_one();
             frame.stats.ring.record(
@@ -299,13 +267,16 @@ impl CachePolicy for SlubCache {
     }
 
     /// The baseline's analogue of the Prudence ladder, so degradation
-    /// behaviour is comparable.
+    /// behaviour is comparable. Every rung ends by draining every CPU's
+    /// stack: free objects parked on other CPUs — including deferred
+    /// objects the reclaimer threads just returned to their own CPUs —
+    /// become refillable. Rung 1 does only that, with no grace-period
+    /// wait.
     fn recovery_rung(&self, rung: usize) {
-        match rung {
-            1 => self.oom_flush_cpu_caches(),
-            2 => self.await_deferred_drain(true),
-            _ => self.await_deferred_drain(false),
+        if rung > 1 {
+            self.await_deferred_drain(rung == 2);
         }
+        self.frame.flush_fastpath(self);
     }
 
     /// For the epoch backend: get the RCU callbacks runnable and cede the
@@ -426,16 +397,13 @@ mod tests {
         }
         let s = c.stats();
         assert!(s.shrinks > 0, "freeing everything should shrink: {s:?}");
-        // Slabs still referenced by per-CPU caches (slot-locked and
-        // fast-path slots) stay partial; everything beyond those plus the
-        // free-slab threshold must have shrunk.
-        let cpu_cached_slabs =
-            (2 * c.policy().object_cache_size).div_ceil(c.policy().objects_per_slab);
-        let fast_cached_slabs = (pbs_percpu::nslots() * c.policy().object_cache_size)
+        // Slabs still referenced by the per-CPU stacks stay partial;
+        // everything beyond those plus the free-slab threshold must have
+        // shrunk.
+        let stacked_slabs = (pbs_percpu::nslots() * c.frame.fast.capacity())
             .div_ceil(c.policy().objects_per_slab);
         assert!(
-            s.slabs_current
-                <= c.policy().free_slabs_limit + cpu_cached_slabs + fast_cached_slabs + 1,
+            s.slabs_current <= c.policy().free_slabs_limit + stacked_slabs + 1,
             "retained too many slabs: {s:?}"
         );
     }

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Number of event kinds; sizes the per-lane kind-count arrays.
-pub const KIND_COUNT: usize = 26;
+pub const KIND_COUNT: usize = 25;
 
 /// What happened. The discriminant is the on-ring wire value, so new kinds
 /// must only ever be appended.
@@ -69,33 +69,28 @@ pub enum EventKind {
     /// 2 = expedited GP + merge, 3 = backoff retry; `b` = 1 if the
     /// retried allocation then succeeded).
     OomRecovery = 18,
-    /// The per-CPU fast path selected its engine at cache construction
-    /// (`a` = engine: 0 = off, 1 = rseq, 2 = slot-lock emulation;
-    /// `b` = per-CPU slot capacity in objects).
+    /// The per-CPU object stacks selected their engine at cache
+    /// construction (`a` = engine: 1 = rseq, 2 = slot-lock emulation;
+    /// `b` = per-CPU stack capacity in objects).
     FastpathEngine = 19,
-    /// Fast-parked objects were drained back to the regular caches
-    /// (`a` = objects drained, `b` = 1 if the drain was part of
-    /// disabling the fast path, 0 for a quiesce/flush drain).
+    /// Every per-CPU stack was drained back to the slabs (`a` = objects
+    /// drained, `b` = 0).
     FastpathDrain = 20,
-    /// The fast path was toggled or its engine switched at runtime
-    /// (`a` = 1 enabled / 0 disabled after the change, `b` = engine now
-    /// in effect: 1 = rseq, 2 = slot-lock emulation).
-    FastpathToggle = 21,
     /// A hazard-pointer retire-list scan ran (`a` = objects reclaimed,
     /// `b` = objects kept because a hazard protected them).
-    HpScan = 22,
+    HpScan = 21,
     /// A Hyaline-style batch was sealed with its reader reference set
     /// (`a` = objects in the batch, `b` = reader references captured).
-    BatchSeal = 23,
+    BatchSeal = 22,
     /// A stalled reader was ejected so the batches it blocked could be
     /// released (`a` = offending thread-record id, `b` = the pin
     /// sequence being revoked).
-    ReaderEject = 24,
+    ReaderEject = 23,
     /// The stall watchdog attributed a stall to a culprit reader: one
     /// record per stall episode, emitted alongside the first
     /// [`StallWarn`](Self::StallWarn) (`a` = offending thread-record id,
     /// `b` = the culprit's pin sequence).
-    StallBlame = 25,
+    StallBlame = 24,
 }
 
 impl EventKind {
@@ -122,7 +117,6 @@ impl EventKind {
         EventKind::OomRecovery,
         EventKind::FastpathEngine,
         EventKind::FastpathDrain,
-        EventKind::FastpathToggle,
         EventKind::HpScan,
         EventKind::BatchSeal,
         EventKind::ReaderEject,
@@ -153,7 +147,6 @@ impl EventKind {
             EventKind::OomRecovery => "oom_recovery",
             EventKind::FastpathEngine => "fastpath_engine",
             EventKind::FastpathDrain => "fastpath_drain",
-            EventKind::FastpathToggle => "fastpath_toggle",
             EventKind::HpScan => "hp_scan",
             EventKind::BatchSeal => "batch_seal",
             EventKind::ReaderEject => "reader_eject",

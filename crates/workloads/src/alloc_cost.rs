@@ -54,11 +54,12 @@ impl AllocCostReport {
 /// Measures the three §3.3 costs for `object_size`-byte objects.
 ///
 /// * **hit** — steady alloc/free of one object: every allocation is a
-///   cache hit.
-/// * **refill** — cycle a working set of twice the object cache through
-///   alloc/free batches; the measured time minus the hit share, divided
-///   by the allocator's refill counter, gives the extra cost a refill
-///   adds to an allocation.
+///   hit on the per-CPU stack, the only object cache.
+/// * **refill** — cycle a working set of four object caches through
+///   alloc/free batches over warm slabs, timing only the allocations;
+///   their time minus the hit share, divided by the allocator's refill
+///   counter, gives the extra cost a refill adds to an allocation (the
+///   untimed frees absorb the flushes).
 /// * **grow** — allocate-only from a cold cache; subtracting the hit and
 ///   refill shares and dividing by the grow counter gives the extra cost
 ///   a grow adds.
@@ -67,11 +68,7 @@ pub fn measure_alloc_cost(object_size: usize, iterations: u64) -> AllocCostRepor
 
     // Regime 1: pure hits. The loop measures alloc+free pairs; an
     // allocation alone is roughly half a pair (the free path mirrors it).
-    // All three regimes disable the per-CPU fast path: §3.3 quantifies
-    // the *baseline* object-cache/refill/grow costs that motivate the
-    // design, so the measurement must reach the regular hit path.
     let cache = bed.create_cache("cost-hit", object_size);
-    cache.fastpath_set_enabled(false);
     let hit_pair_ns = {
         let obj = cache.allocate().expect("warmup allocation");
         // SAFETY: freed exactly once here; reallocated in the loop.
@@ -86,12 +83,11 @@ pub fn measure_alloc_cost(object_size: usize, iterations: u64) -> AllocCostRepor
     };
     let hit_ns = hit_pair_ns / 2.0;
 
-    // Regime 2: refill/flush cycling. Extract the per-refill surcharge
-    // from the allocator's own counters.
+    // Regime 2: refill cycling. Extract the per-refill surcharge from the
+    // allocator's own counters.
     let refill_extra_ns = {
         let cache = bed.create_cache("cost-refill", object_size);
-        cache.fastpath_set_enabled(false);
-        let batch = 2 * pbs_alloc_api::SizingPolicy::for_object_size(object_size).object_cache_size;
+        let batch = 4 * pbs_alloc_api::SizingPolicy::for_object_size(object_size).object_cache_size;
         let mut held = Vec::with_capacity(batch);
         // Warm: materialize the slabs so the regime refills, not grows.
         for _ in 0..batch {
@@ -103,30 +99,27 @@ pub fn measure_alloc_cost(object_size: usize, iterations: u64) -> AllocCostRepor
         }
         let before = cache.stats();
         let rounds = (iterations / batch as u64).max(1);
-        let start = Instant::now();
+        let mut elapsed = 0.0;
         for _ in 0..rounds {
+            let start = Instant::now();
             for _ in 0..batch {
                 held.push(cache.allocate().expect("refill regime"));
             }
+            elapsed += start.elapsed().as_nanos() as f64;
             for o in held.drain(..) {
                 // SAFETY: as above.
                 unsafe { cache.free(o) };
             }
         }
-        let elapsed = start.elapsed().as_nanos() as f64;
         let after = cache.stats();
         let allocs = (after.alloc_requests - before.alloc_requests) as f64;
         let refills = ((after.refills - before.refills) as f64).max(1.0);
-        // Frees include flush work; attribute the non-hit surplus of the
-        // whole regime to the refill/flush pairs, as the paper's churn
-        // accounting does.
-        ((elapsed - allocs * hit_pair_ns) / refills).max(0.0)
+        ((elapsed - allocs * hit_ns) / refills).max(0.0)
     };
 
     // Regime 3: allocate-only growth from a cold cache.
     let grow_extra_ns = {
         let cache = bed.create_cache("cost-grow", object_size);
-        cache.fastpath_set_enabled(false);
         let n = iterations.min(200_000) as usize;
         let mut held = Vec::with_capacity(n);
         let before = cache.stats();

@@ -203,7 +203,7 @@ struct RunMeta {
     nproc: usize,
     /// Kernel release (`/proc/sys/kernel/osrelease`), or "unknown".
     kernel: String,
-    /// Fast-path engine new caches select ("rseq" / "locks" / "off").
+    /// Fast-path engine new caches select ("rseq" / "locks").
     fastpath_engine: String,
     /// Value of `PBS_FASTPATH` if the run was forced, else null.
     fastpath_override: Option<String>,
@@ -229,11 +229,7 @@ fn run_metadata() -> RunMeta {
         git_rev,
         nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
         kernel,
-        fastpath_engine: if pbs_alloc_api::fastpath_env_disabled() {
-            "off".to_string()
-        } else {
-            pbs_alloc_api::fastpath_default_engine().label().to_string()
-        },
+        fastpath_engine: pbs_alloc_api::fastpath_default_engine().label().to_string(),
         fastpath_override: std::env::var("PBS_FASTPATH").ok(),
         reclaim_backend: ReclaimBackend::from_env().label().to_string(),
         reclaim_override: std::env::var("PBS_RECLAIM").ok(),

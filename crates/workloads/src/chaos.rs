@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use pbs_alloc_api::{fastpath_default_engine, FastPathEngine, ObjPtr};
+use pbs_alloc_api::ObjPtr;
 use pbs_fault::{site, FaultInjector, Schedule};
 use pbs_rcu::reclaim::{ReclaimBackend, ReclaimConfig, ReclaimStats};
 use pbs_rcu::RcuConfig;
@@ -56,10 +56,9 @@ pub enum ChaosScenario {
     /// grow faults: allocations must climb the recovery ladder and at
     /// least one must be rescued by a ladder stage rather than fail.
     OomStorm,
-    /// A toggler thread flips the per-CPU fast path (disable-with-drain,
-    /// re-enable, engine switch, engine restore) continuously under
-    /// churn: every switchover must stay leak-free and every quiesce
-    /// invariant must still hold at the end.
+    /// A drainer thread empties every cache's per-CPU stacks
+    /// continuously under churn: every drain must stay leak-free and
+    /// every quiesce invariant must still hold at the end.
     FastpathFlap,
     /// The sharded server scenario
     /// ([`run_server`](crate::apps::run_server)) as a chaos leg: a DoS
@@ -274,12 +273,12 @@ pub struct ChaosReport {
     pub pressure_transitions: u64,
     /// Per-CPU fast-path hits (alloc + free) across all caches.
     pub fastpath_hits: u64,
-    /// Fast-path operations that bounced to the slow path across all
-    /// caches (empty/full slots, disabled windows, engine switches).
+    /// Fast-path operations that went to the slow path across all caches
+    /// (empty/full stacks, drain windows).
     pub fastpath_fallbacks: u64,
-    /// Fast-path state changes the flap toggler performed (0 outside the
+    /// Stack drains the flap thread performed (0 outside the
     /// fastpath-flap scenario).
-    pub fastpath_flips: u64,
+    pub fastpath_drains: u64,
     /// Stalled-reader scenario: deferred objects still outstanding on the
     /// probe cache while a reader stayed pinned (`None` outside that
     /// scenario). Robust backends must keep this at or below
@@ -317,7 +316,7 @@ impl ChaosReport {
         };
         format!(
             "chaos[{} {} {} seed={}]: {} ops, {} ooms ({} injected), {} gp stalls, \
-             {} warns, {} expedited, {} rescued, fastpath {}h/{}f/{} flips, \
+             {} warns, {} expedited, {} rescued, fastpath {}h/{}f/{} drains, \
              peak {}/{} KiB, {} panics{garbage} — {}",
             self.allocator,
             self.scenario,
@@ -332,7 +331,7 @@ impl ChaosReport {
             self.ladder_recoveries,
             self.fastpath_hits,
             self.fastpath_fallbacks,
-            self.fastpath_flips,
+            self.fastpath_drains,
             self.peak_bytes >> 10,
             self.limit_bytes >> 10,
             self.panics,
@@ -401,7 +400,7 @@ fn run_server_storm(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
         pressure_transitions: 0,
         fastpath_hits: 0,
         fastpath_fallbacks: 0,
-        fastpath_flips: 0,
+        fastpath_drains: 0,
         stalled_garbage_observed: report
             .stalled_shard
             .then_some(report.max_garbage_storm),
@@ -507,7 +506,7 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
     let mut panics = 0u64;
 
     let stop_staller = Arc::new(AtomicBool::new(false));
-    let mut fastpath_flips = 0u64;
+    let mut fastpath_drains = 0u64;
     let doctor_server = if params.doctor {
         let provider_bed = Arc::clone(&bed);
         match crate::doctor::DoctorServer::start(move || provider_bed.telemetry()) {
@@ -521,11 +520,8 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
         None
     };
     std::thread::scope(|s| {
-        // Fast-path flapper: cycles every cache through
-        // disable(+drain) → enable → portable engine → default engine
-        // while the workers churn, so every switchover direction runs
-        // against live traffic. Ends by restoring the enabled/default
-        // state so the quiesce invariants check a healthy fast path.
+        // Fast-path flapper: drains every cache's per-CPU stacks while
+        // the workers churn, so drains race live pushes and pops.
         let flapper = (params.scenario == ChaosScenario::FastpathFlap).then(|| {
             let caches = [
                 Arc::clone(&node_cache),
@@ -534,27 +530,15 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
             ];
             let stop = Arc::clone(&stop_staller);
             s.spawn(move || {
-                let mut flips = 0u64;
-                let mut i = 0u64;
+                let mut drains = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     for cache in &caches {
-                        match i % 4 {
-                            0 => cache.fastpath_set_enabled(false),
-                            1 => cache.fastpath_set_enabled(true),
-                            2 => cache.fastpath_set_engine(FastPathEngine::Locks),
-                            _ => cache.fastpath_set_engine(fastpath_default_engine()),
-                        }
-                        flips += 1;
+                        cache.flush_fastpath();
+                        drains += 1;
                     }
-                    i += 1;
                     std::thread::sleep(Duration::from_micros(500));
                 }
-                for cache in &caches {
-                    cache.fastpath_set_engine(fastpath_default_engine());
-                    cache.fastpath_set_enabled(true);
-                    flips += 2;
-                }
-                flips
+                drains
             })
         });
         // Stalled reader: pins read-side critical sections in long pulses,
@@ -786,7 +770,7 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
         }
         if let Some(flapper) = flapper {
             match flapper.join() {
-                Ok(flips) => fastpath_flips = flips,
+                Ok(drains) => fastpath_drains = drains,
                 Err(_) => panics += 1,
             }
         }
@@ -1133,13 +1117,12 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
             }
         }
         ChaosScenario::FastpathFlap => {
-            if fastpath_flips == 0 {
-                violations.push("fastpath-flap: toggler never flipped".into());
+            if fastpath_drains == 0 {
+                violations.push("fastpath-flap: drainer never drained".into());
             }
-            // Flapping must leave evidence: during disabled/switching
-            // windows operations bounce (fallbacks), during enabled
-            // windows they hit. A run where neither moved means the flap
-            // never raced live traffic.
+            // Draining must leave evidence: right after a drain operations
+            // miss (fallbacks), between drains they hit. A run where
+            // neither moved means the drains never raced live traffic.
             if fastpath_hits + fastpath_fallbacks == 0 {
                 violations.push("fastpath-flap: fast path saw no traffic".into());
             }
@@ -1148,13 +1131,7 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
                 (&obj_cache, &obj_stats),
                 (&storm_cache, &storm_stats),
             ] {
-                if !cache.fastpath_enabled() {
-                    violations.push(format!(
-                        "fastpath-flap: {} ended with the fast path disabled",
-                        cache.name()
-                    ));
-                }
-                // A quiesced cache has drained its fast slots: nothing
+                // A quiesced cache has drained its stacks: nothing
                 // parked may survive into the post-quiesce accounting
                 // (live_objects == 0 is asserted above for every run).
                 if stats.live_objects != 0 {
@@ -1200,7 +1177,7 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
         pressure_transitions,
         fastpath_hits,
         fastpath_fallbacks,
-        fastpath_flips,
+        fastpath_drains,
         stalled_garbage_observed,
         stalled_garbage_bound: params.garbage_bound,
         blame,
@@ -1296,7 +1273,7 @@ mod tests {
     }
 
     #[test]
-    fn fastpath_flap_scenario_survives_switchovers() {
+    fn fastpath_flap_scenario_survives_drains() {
         let params = ChaosParams {
             threads: 2,
             seed: 17,
@@ -1311,7 +1288,7 @@ mod tests {
                 report.render(),
                 report.replay_command()
             );
-            assert!(report.fastpath_flips >= 1, "{}", report.render());
+            assert!(report.fastpath_drains >= 1, "{}", report.render());
             assert!(
                 report.fastpath_hits + report.fastpath_fallbacks >= 1,
                 "{}",

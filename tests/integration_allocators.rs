@@ -7,9 +7,8 @@ use std::time::Duration;
 
 use pbs_telemetry::EventKind;
 use prudence_repro::alloc_api::{
-    fastpath_default_engine, fastpath_env_disabled, AllocError, CacheFactory, CacheFrame,
-    CachePolicy, FastPathEngine, FrameSlab, KmallocHeap, ObjPtr, ObjectAllocator, SizingPolicy,
-    SIZE_CLASSES,
+    AllocError, CacheFactory, CacheFrame, CachePolicy, FrameSlab, KmallocHeap, ObjPtr,
+    ObjectAllocator, SizingPolicy, SIZE_CLASSES,
 };
 use prudence_repro::fault::{site, FaultInjector, Schedule};
 use prudence_repro::mem::PageAllocator;
@@ -400,9 +399,9 @@ fn kmalloc_heap_routes_every_class_on_both_allocators() {
 
 #[test]
 fn kmalloc_heap_quiesce_parks_nothing_in_any_class() {
-    // Quiesce must flush every class's fast path, not just the first
-    // class's: after it, disabling a class's fast path has nothing left to
-    // drain.
+    // Quiesce must flush every class's per-CPU stacks, not just the first
+    // class's: after it, draining a class's stacks has nothing left to
+    // return.
     let pages = Arc::new(PageAllocator::new());
     let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
     for factory in default_factories(&pages, &rcu, 2) {
@@ -414,7 +413,7 @@ fn kmalloc_heap_quiesce_parks_nothing_in_any_class() {
         let class = heap.cache_for(100).unwrap();
         let drains = || class.telemetry().count_of(EventKind::FastpathDrain);
         let after_quiesce = drains();
-        class.fastpath_set_enabled(false);
+        class.flush_fastpath();
         assert_eq!(
             drains(),
             after_quiesce,
@@ -424,7 +423,7 @@ fn kmalloc_heap_quiesce_parks_nothing_in_any_class() {
 }
 
 #[test]
-fn fastpath_toggles_and_engine_switches_stay_leak_free() {
+fn fastpath_drains_stay_leak_free() {
     for which in 0..2 {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
@@ -443,23 +442,20 @@ fn fastpath_toggles_and_engine_switches_stay_leak_free() {
                 }
             }
         };
-        free_some(&mut live, 48, false); // parks in the fast path
-        cache.fastpath_set_enabled(false); // drains with live objects out
-        assert!(!cache.fastpath_enabled(), "{label}");
+        free_some(&mut live, 48, false); // parks on the per-CPU stack
+        cache.flush_fastpath(); // drains with live objects out
         free_some(&mut live, 32, false);
         free_some(&mut live, 16, true);
-        cache.fastpath_set_enabled(true);
-        assert_eq!(cache.fastpath_enabled(), !fastpath_env_disabled(), "{label}");
-        cache.fastpath_set_engine(FastPathEngine::Locks);
+        cache.flush_fastpath();
         free_some(&mut live, 32, false);
         let more: Vec<ObjPtr> = (0..64).map(|_| cache.allocate().unwrap()).collect();
-        cache.fastpath_set_engine(fastpath_default_engine());
+        cache.flush_fastpath(); // drains a stack the refill just filled
         for o in more {
             unsafe { cache.free(o) };
         }
         free_some(&mut live, 64, true);
-        cache.fastpath_set_enabled(false);
-        cache.fastpath_set_enabled(true);
+        cache.flush_fastpath();
+        cache.flush_fastpath(); // an empty drain is a no-op
         let rest = live.len();
         free_some(&mut live, rest, false);
         cache.quiesce();
@@ -469,6 +465,42 @@ fn fastpath_toggles_and_engine_switches_stay_leak_free() {
         drop(cache);
         drop(factory);
         assert_eq!(pages.used_bytes(), 0, "{label}: leaked pages");
+    }
+}
+
+/// The paper's deferred-free pattern (allocate, `free_deferred`, grace
+/// period; never an immediate free) must be served from the per-CPU
+/// stack: refills and latent merges fill it, so at least half of the
+/// allocations after the first refill are stack hits on both designs.
+#[test]
+fn deferred_only_stream_allocates_from_the_per_cpu_stack() {
+    let pages = Arc::new(PageAllocator::new());
+    let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
+    for factory in default_factories(&pages, &rcu, 2) {
+        let label = factory.label().to_owned();
+        let cache = factory.create_cache("deferred-only", 64);
+        let first = cache.allocate().unwrap(); // the first refill
+        unsafe { cache.free_deferred(first) };
+        let before = cache.stats();
+        let (batches, per_batch) = (50u64, 64);
+        for _ in 0..batches {
+            let batch: Vec<ObjPtr> = (0..per_batch).map(|_| cache.allocate().unwrap()).collect();
+            for o in batch {
+                unsafe { cache.free_deferred(o) };
+            }
+            rcu.synchronize();
+        }
+        let after = cache.stats();
+        let allocs = batches * per_batch as u64;
+        let hits = after.rseq_hits - before.rseq_hits;
+        assert_eq!(after.frees, before.frees, "{label}: no immediate frees");
+        assert!(
+            2 * hits >= allocs,
+            "{label}: {hits} of {allocs} allocations hit the per-CPU stack: {after:?}"
+        );
+        cache.quiesce();
+        assert_eq!(cache.stats().live_objects, 0, "{label}");
+        assert_eq!(cache.deferred_outstanding(), 0, "{label}");
     }
 }
 

@@ -232,10 +232,10 @@ proptest! {
         seed in any::<u64>(),
         fault_pm in 0u32..600,
     ) {
-        // Each injected fault flips the per-CPU fast path live mid-run;
-        // the usual invariants (no panic, balanced accounting, no page
-        // leak) must hold across arbitrarily many switchovers.
-        check_faulted(make_prudence, site::FASTPATH_DISABLE, seed, f64::from(fault_pm) / 1000.0, &ops);
+        // Each injected fault drains the per-CPU stacks mid-run; the
+        // usual invariants (no panic, balanced accounting, no page leak)
+        // must hold across arbitrarily many drains.
+        check_faulted(make_prudence, site::FASTPATH_DRAIN, seed, f64::from(fault_pm) / 1000.0, &ops);
     }
 
     #[test]
@@ -244,7 +244,7 @@ proptest! {
         seed in any::<u64>(),
         fault_pm in 0u32..600,
     ) {
-        check_faulted(make_slub, site::FASTPATH_DISABLE, seed, f64::from(fault_pm) / 1000.0, &ops);
+        check_faulted(make_slub, site::FASTPATH_DRAIN, seed, f64::from(fault_pm) / 1000.0, &ops);
     }
 }
 
@@ -277,18 +277,18 @@ fn blackout_errors_propagate_from_both_allocators() {
     }
 }
 
-/// Forced fast-path switchover, deterministic direction: with
-/// `fastpath.disable` armed on every refill, the per-CPU fast path flips
-/// off (draining parked objects) and back on continuously under churn.
-/// The run must stay leak-free and accounting-balanced, and the bounced
-/// operations must show up in the `fastpath_fallbacks` counter.
+/// Forced drains, deterministic direction: with `fastpath.drain` armed
+/// on every refill, every refill first drains the per-CPU stacks under
+/// churn. The run must stay leak-free and accounting-balanced, and the
+/// operations that then miss the emptied stack must show up in the
+/// `fastpath_fallbacks` counter.
 #[test]
 fn forced_fastpath_disable_is_leak_free() {
     type Make = fn(Arc<PageAllocator>, Arc<Rcu>) -> Arc<dyn ObjectAllocator>;
     let makes: [(&str, Make); 2] = [("prudence", make_prudence), ("slub", make_slub)];
     for (label, make) in makes {
         let faults = Arc::new(FaultInjector::new(7));
-        faults.schedule(site::FASTPATH_DISABLE, Schedule::EveryKth(1));
+        faults.schedule(site::FASTPATH_DRAIN, Schedule::EveryKth(1));
         let pages = Arc::new(
             PageAllocator::builder()
                 .fault_injector(Arc::clone(&faults))
@@ -307,7 +307,7 @@ fn forced_fastpath_disable_is_leak_free() {
             }
         }
         assert!(
-            faults.injected(site::FASTPATH_DISABLE) >= 1,
+            faults.injected(site::FASTPATH_DRAIN) >= 1,
             "{label}: churn never reached a refill"
         );
         cache.quiesce();
@@ -315,11 +315,11 @@ fn forced_fastpath_disable_is_leak_free() {
         assert_eq!(stats.live_objects, 0, "{label}: accounting diverged");
         assert!(
             stats.fastpath_fallbacks >= 1,
-            "{label}: disabled fast path never bounced an operation"
+            "{label}: a drained stack never sent an operation to the slow path"
         );
         assert_eq!(cache.deferred_outstanding(), 0);
         drop(cache);
-        assert_eq!(pages.used_bytes(), 0, "{label}: pages leaked across flips");
+        assert_eq!(pages.used_bytes(), 0, "{label}: pages leaked across drains");
     }
 }
 
