@@ -7,9 +7,9 @@
 //! the cost of an allocation served from the object cache, of one that
 //! triggers a refill, and of one that triggers a slab grow. Refill and
 //! grow costs are extracted from mixed regimes using the allocator's own
-//! operation counters.
+//! operation counters. The `bench cost` subcommand repeats the
+//! measurement and records the table.
 
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 use pbs_rcu::RcuConfig;
@@ -17,7 +17,7 @@ use pbs_rcu::RcuConfig;
 use crate::{AllocatorKind, Testbed};
 
 /// Measured §3.3 allocation costs.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AllocCostReport {
     /// Nanoseconds for an allocation served from the object cache.
     pub hit_ns: f64,
@@ -36,18 +36,6 @@ impl AllocCostReport {
     /// Grow cost as a multiple of the hit cost (paper: ≈14×).
     pub fn grow_multiple(&self) -> f64 {
         self.grow_ns / self.hit_ns
-    }
-
-    /// Paper-style rendering.
-    pub fn render(&self) -> String {
-        format!(
-            "alloc cost (§3.3): hit {:.0} ns | with refill {:.0} ns ({:.1}x) | with grow {:.0} ns ({:.1}x)",
-            self.hit_ns,
-            self.refill_ns,
-            self.refill_multiple(),
-            self.grow_ns,
-            self.grow_multiple()
-        )
     }
 }
 
@@ -167,6 +155,5 @@ mod tests {
             report.grow_ns,
             report.refill_ns
         );
-        assert!(report.render().contains("ns"));
     }
 }

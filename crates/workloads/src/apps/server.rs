@@ -384,7 +384,7 @@ impl ServerReport {
     /// One-line command reproducing this run.
     pub fn replay_command(&self) -> String {
         format!(
-            "cargo run --release -p pbs-workloads --bin server_bench -- \
+            "cargo run --release -p pbs-bench --bin bench -- server \
              --seed {} --shards {} --connections {} --allocator {} --reclaim {}",
             self.seed, self.shards, self.target_connections, self.allocator, self.reclaim_backend
         )
